@@ -60,6 +60,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -68,6 +69,7 @@
 #include "net/worker.h"
 #include "text/corpus_io.h"
 #include "text/tokenizer.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -147,6 +149,25 @@ bool ParseByteSize(const char* text, uint64_t* out) {
   return true;
 }
 
+int BadCount(const char* argv0, const std::string& flag) {
+  std::fprintf(stderr, "bad %s value: want a non-negative integer in range\n",
+               flag.c_str());
+  return Usage(argv0);
+}
+
+// Parses a non-negative integer flag value that fits T; false on a sign,
+// junk, a missing value or overflow (the caller prints the usage line).
+template <typename T>
+bool ParseCount(const char* text, T* out) {
+  uint64_t value = 0;
+  if (text == nullptr ||
+      !fsjoin::ParseUnsigned(text, std::numeric_limits<T>::max(), &value)) {
+    return false;
+  }
+  *out = static_cast<T>(value);
+  return true;
+}
+
 fsjoin::Result<std::unique_ptr<fsjoin::Tokenizer>> MakeTokenizer(
     const std::string& name) {
   if (name == "word") {
@@ -157,8 +178,10 @@ fsjoin::Result<std::unique_ptr<fsjoin::Tokenizer>> MakeTokenizer(
         new fsjoin::WhitespaceTokenizer());
   }
   if (name.rfind("qgram", 0) == 0) {
-    int q = std::atoi(name.c_str() + 5);
-    if (q < 1) return fsjoin::Status::InvalidArgument("bad qgram size");
+    int q = 0;
+    if (!ParseCount(name.c_str() + 5, &q) || q < 1) {
+      return fsjoin::Status::InvalidArgument("bad qgram size");
+    }
     return std::unique_ptr<fsjoin::Tokenizer>(
         new fsjoin::QGramTokenizer(static_cast<size_t>(q)));
   }
@@ -234,13 +257,9 @@ int main(int argc, char** argv) {
       if (!v) return Usage(argv[0]);
       opts.sample_rate = std::atof(v);
     } else if (arg == "--fragments") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      opts.fragments = static_cast<uint32_t>(std::atoi(v));
+      if (!ParseCount(next(), &opts.fragments)) return BadCount(argv[0], arg);
     } else if (arg == "--horizontal") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      opts.horizontal = static_cast<uint32_t>(std::atoi(v));
+      if (!ParseCount(next(), &opts.horizontal)) return BadCount(argv[0], arg);
       opts.horizontal_set = true;
     } else if (arg == "--backend") {
       const char* v = next();
@@ -252,15 +271,11 @@ int main(int argc, char** argv) {
       opts.kernel = v;
       opts.kernel_set = true;
     } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      opts.threads = static_cast<size_t>(std::atoi(v));
+      if (!ParseCount(next(), &opts.threads)) return BadCount(argv[0], arg);
     } else if (arg == "--parallel-join") {
       opts.parallel_join = true;
     } else if (arg == "--morsel") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      opts.morsel = static_cast<size_t>(std::atoi(v));
+      if (!ParseCount(next(), &opts.morsel)) return BadCount(argv[0], arg);
     } else if (arg == "--shuffle-mem") {
       const char* v = next();
       if (!v || !ParseByteSize(v, &opts.shuffle_mem)) {
@@ -276,21 +291,21 @@ int main(int argc, char** argv) {
       if (!v) return Usage(argv[0]);
       opts.runner = v;
     } else if (arg == "--task-retries") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      opts.task_retries = std::atoi(v);
+      if (!ParseCount(next(), &opts.task_retries)) {
+        return BadCount(argv[0], arg);
+      }
     } else if (arg == "--workers") {
       const char* v = next();
       if (!v) return Usage(argv[0]);
       opts.workers = v;
     } else if (arg == "--spawn-local-workers") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      opts.spawn_local_workers = std::atoi(v);
+      if (!ParseCount(next(), &opts.spawn_local_workers)) {
+        return BadCount(argv[0], arg);
+      }
     } else if (arg == "--heartbeat-ms") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      opts.heartbeat_ms = std::atoi(v);
+      if (!ParseCount(next(), &opts.heartbeat_ms)) {
+        return BadCount(argv[0], arg);
+      }
     } else if (arg == "--aggressive") {
       opts.aggressive = true;
     } else if (arg == "--report") {

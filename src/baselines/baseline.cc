@@ -7,7 +7,8 @@
 namespace fsjoin {
 
 Status BaselineConfig::Validate() const {
-  if (theta <= 0.0 || theta > 1.0) {
+  // Negated range test, so NaN (every comparison false) fails too.
+  if (!(theta > 0.0 && theta <= 1.0)) {
     return Status::InvalidArgument(
         StrFormat("theta must be in (0, 1], got %f", theta));
   }

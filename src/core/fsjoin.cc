@@ -1,6 +1,7 @@
 #include "core/fsjoin.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -10,6 +11,7 @@
 #include "exec/backend.h"
 #include "exec/plan.h"
 #include "tune/tuner.h"
+#include "util/logging.h"
 #include "util/simd.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -294,13 +296,24 @@ Corpus MergeJoinInput(const JoinInput& input) {
     for (TokenId t : copy.tokens) merged.dictionary.AddFrequency(t, 1);
     merged.records.push_back(std::move(copy));
   }
+  // S ids are remapped through a per-S-id table filled lazily in record
+  // order: each distinct S token is interned by string once, on its first
+  // occurrence, which is the same first-seen order the per-occurrence
+  // interning gave — so merged ids, dictionary and frequencies are
+  // unchanged, and entries no S record uses are never interned.
+  constexpr TokenId kUnmapped = std::numeric_limits<TokenId>::max();
+  std::vector<TokenId> s_to_merged(input.s.dictionary.size(), kUnmapped);
   for (const Record& rec : input.s.records) {
     Record copy;
     copy.id = static_cast<RecordId>(merged.records.size());
     copy.tokens.reserve(rec.tokens.size());
     for (TokenId t : rec.tokens) {
-      copy.tokens.push_back(
-          merged.dictionary.Intern(input.s.dictionary.TokenString(t)));
+      FSJOIN_CHECK(t < s_to_merged.size());
+      TokenId& mapped = s_to_merged[t];
+      if (mapped == kUnmapped) {
+        mapped = merged.dictionary.Intern(input.s.dictionary.TokenString(t));
+      }
+      copy.tokens.push_back(mapped);
     }
     std::sort(copy.tokens.begin(), copy.tokens.end());
     copy.tokens.erase(std::unique(copy.tokens.begin(), copy.tokens.end()),

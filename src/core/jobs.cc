@@ -133,9 +133,13 @@ class FilteringReducer : public mr::Reducer {
     FSJOIN_RETURN_NOT_OK(key_dec.GetFixed32BE(&fragment));
 
     // Columnar build: shuffle values decode straight into one flat token
-    // arena — no per-segment token vector is ever allocated.
+    // arena — no per-segment token vector is ever allocated. Every varint
+    // token takes at least one byte, so the summed value bytes bound the
+    // token count: one reserve, and the arena never reallocates.
+    size_t value_bytes = 0;
+    for (std::string_view v : values) value_bytes += v.size();
     SegmentBatch batch;
-    batch.Reserve(values.size(), 0);
+    batch.Reserve(values.size(), value_bytes);
     for (std::string_view v : values) {
       FSJOIN_RETURN_NOT_OK(batch.AppendEncoded(v));
     }

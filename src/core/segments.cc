@@ -71,8 +71,10 @@ Status SegmentBatch::AppendEncoded(std::string_view data) {
     // Each token takes at least one byte, so this is malformed.
     return Status::OutOfRange("truncated segment token vector");
   }
+  // No reserve here: an exact per-call reserve reallocates the whole arena
+  // on every append (quadratic in the batch). Growth is geometric, or free
+  // when the caller reserved the batch once up front (FilteringReducer).
   const size_t start = arena_.size();
-  arena_.reserve(start + num_tokens);
   for (uint64_t i = 0; i < num_tokens; ++i) {
     uint32_t token = 0;
     Status st = dec.GetVarint32(&token);

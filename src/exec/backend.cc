@@ -284,12 +284,7 @@ Result<mr::Dataset> MapReduceBackend::Execute(const Plan& plan,
     current = out;
   }
 
-  auto out = dfs_.Get(current);
-  if (!out.ok()) {
-    cleanup();
-    return out.status();
-  }
-  mr::Dataset result = **out;
+  Result<mr::Dataset> result = dfs_.Take(current);
   cleanup();
   return result;
 }

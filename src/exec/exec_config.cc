@@ -80,8 +80,7 @@ Status ExecConfig::Validate() const {
         "tune_sample_rate is set but auto_tune is off (--sample-rate "
         "requires --auto)");
   }
-  if (auto_tune &&
-      (tune_sample_rate < 0.0 || tune_sample_rate > 1.0)) {
+  if (auto_tune && !(tune_sample_rate >= 0.0 && tune_sample_rate <= 1.0)) {
     return Status::InvalidArgument(
         "tune_sample_rate must be in (0, 1] (or 0 for the default), got " +
         std::to_string(tune_sample_rate));

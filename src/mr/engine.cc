@@ -268,6 +268,12 @@ Status Engine::Run(const JobConfig& config, const Dataset& input,
       if (job_budget.has_value()) {
         shards[r].EnableSpill(&*job_budget, scratch->path(),
                               "r" + std::to_string(r));
+      } else {
+        size_t records = 0;
+        for (uint32_t m = 0; m < num_maps; ++m) {
+          records += task_buffers[m][r].size();
+        }
+        shards[r].Reserve(records);
       }
       Status st;
       for (uint32_t m = 0; st.ok() && m < num_maps; ++m) {

@@ -22,6 +22,16 @@ bool MiniDfs::Has(const std::string& name) const {
 
 void MiniDfs::Remove(const std::string& name) { datasets_.erase(name); }
 
+Result<Dataset> MiniDfs::Take(const std::string& name) {
+  auto it = datasets_.find(name);
+  if (it == datasets_.end()) {
+    return Status::NotFound("no dataset named '" + name + "'");
+  }
+  Dataset dataset = std::move(it->second);
+  datasets_.erase(it);
+  return dataset;
+}
+
 std::vector<std::string> MiniDfs::List() const {
   std::vector<std::string> names;
   names.reserve(datasets_.size());

@@ -25,6 +25,9 @@ class MiniDfs {
   bool Has(const std::string& name) const;
   void Remove(const std::string& name);
 
+  /// Removes `name` and returns its dataset, moved out rather than copied.
+  Result<Dataset> Take(const std::string& name);
+
   /// Names of all stored datasets (sorted).
   std::vector<std::string> List() const;
 

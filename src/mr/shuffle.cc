@@ -62,7 +62,12 @@ void ShuffleShard::EnableSpill(store::MemoryBudget* budget, std::string dir,
 Status ShuffleShard::AddBuffer(KvBuffer buffer) {
   if (buffer.empty()) return Status::OK();
   const uint32_t b = static_cast<uint32_t>(buffers_.size());
-  refs_.reserve(refs_.size() + buffer.size());
+  // Geometric growth: an exact reserve per buffer would reallocate and copy
+  // the whole index on every call. A single buffer still fits exactly.
+  const size_t needed = refs_.size() + buffer.size();
+  if (needed > refs_.capacity()) {
+    refs_.reserve(std::max(needed, 2 * refs_.capacity()));
+  }
   for (size_t i = 0; i < buffer.size(); ++i) {
     const std::string_view key = buffer.key(i);
     refs_.push_back(Ref{KeyTag(key), b, static_cast<uint32_t>(i),
@@ -80,6 +85,8 @@ Status ShuffleShard::AddBuffer(KvBuffer buffer) {
   }
   return Status::OK();
 }
+
+void ShuffleShard::Reserve(size_t num_records) { refs_.reserve(num_records); }
 
 Status ShuffleShard::SpillNow() {
   if (refs_.empty()) return Status::OK();

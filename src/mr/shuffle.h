@@ -56,6 +56,11 @@ class ShuffleShard {
   void EnableSpill(store::MemoryBudget* budget, std::string dir,
                    std::string file_prefix);
 
+  /// Pre-sizes the sort index for `num_records` records, so a shard filled
+  /// from many buffers never regrows it. For in-memory shards: a spilling
+  /// shard's index only ever holds what fits the budget.
+  void Reserve(size_t num_records);
+
   /// Takes ownership of one map task's partition buffer. Empty buffers are
   /// dropped. Must not be called after SortByKey(). Only spill-path I/O
   /// can fail; without EnableSpill() the status is always OK.

@@ -42,12 +42,20 @@ Status ExecuteWorkerTask(const std::string& spec_path, std::string* base) {
   TaskOutput out;
   if (spec.kind == TaskKind::kMap) {
     // The map split arrives as run files; materialize it and run the
-    // standard map-task body over the records.
-    Dataset input;
+    // standard map-task body over the records. All readers open first, so
+    // the input is sized once from their footers' record counts instead of
+    // regrown per run file.
+    std::vector<std::unique_ptr<store::RunReader>> readers;
+    size_t records = 0;
     for (const std::string& path : spec.input_runs) {
       FSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<store::RunReader> reader,
                               store::RunReader::Open(path));
-      input.reserve(input.size() + reader->records());
+      records += reader->records();
+      readers.push_back(std::move(reader));
+    }
+    Dataset input;
+    input.reserve(records);
+    for (const std::unique_ptr<store::RunReader>& reader : readers) {
       bool has = false;
       std::string_view key, value;
       while (true) {

@@ -35,6 +35,19 @@ std::string_view TrimWhitespace(std::string_view s) {
   return s.substr(b, e - b);
 }
 
+bool ParseUnsigned(std::string_view text, uint64_t max, uint64_t* out) {
+  if (text.empty()) return false;
+  uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (digit > max || value > (max - digit) / 10) return false;
+    value = value * 10 + digit;
+  }
+  *out = value;
+  return true;
+}
+
 std::string HumanBytes(uint64_t bytes) {
   static const char* kUnits[] = {"B", "KB", "MB", "GB", "TB"};
   double v = static_cast<double>(bytes);

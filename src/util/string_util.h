@@ -18,6 +18,11 @@ std::string ToLowerAscii(std::string_view s);
 /// Strips leading/trailing ASCII whitespace.
 std::string_view TrimWhitespace(std::string_view s);
 
+/// Parses a plain decimal integer in [0, max]: ASCII digits only, so a
+/// sign, whitespace, a suffix, an empty string or a value above `max`
+/// (overflow included) all return false and leave *out untouched.
+bool ParseUnsigned(std::string_view text, uint64_t max, uint64_t* out);
+
 /// "1.5 GB"-style rendering of a byte count.
 std::string HumanBytes(uint64_t bytes);
 

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "baselines/baseline.h"
+#include "baselines/vernica_join.h"
 #include "core/fsjoin.h"
 #include "core/jobs.h"
 #include "mr/engine.h"
@@ -206,6 +209,27 @@ TEST(FsJoinConfigTest, ValidationCatchesBadParameters) {
   config.num_vertical_partitions = 4;
   config.exec.num_map_tasks = 0;
   EXPECT_FALSE(config.Validate().ok());
+  // NaN fails both halves of a naive "theta <= 0 || theta > 1" test; it
+  // and the infinities must still be refused with a Status, not an abort.
+  const Corpus corpus = CorpusFromTokenSets({{1, 2, 3}, {1, 2, 4}});
+  for (double theta : {std::nan(""), std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+    FsJoinConfig bad;
+    bad.theta = theta;
+    EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument) << theta;
+    EXPECT_FALSE(FsJoin(bad).Run(corpus).ok()) << theta;
+  }
+}
+
+TEST(BaselineConfigTest, NonFiniteThetaIsRejectedNotAborted) {
+  const Corpus corpus = CorpusFromTokenSets({{1, 2, 3}, {1, 2, 4}});
+  for (double theta : {std::nan(""), std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+    BaselineConfig config;
+    config.theta = theta;
+    EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument) << theta;
+    EXPECT_FALSE(RunVernicaJoin(corpus, config).ok()) << theta;
+  }
 }
 
 TEST(FsJoinConfigTest, SummaryMentionsKeyKnobs) {

@@ -58,6 +58,8 @@ TEST(MinHashConfigTest, ValidationAndProbability) {
   config.bands = 32;
   config.theta = 0.0;
   EXPECT_FALSE(config.Validate().ok());
+  config.theta = std::nan("");
+  EXPECT_FALSE(config.Validate().ok());
   config.theta = 0.8;
 
   // r = 4, b = 32: the S-curve is ~0 at low sim, ~1 at high sim.

@@ -313,6 +313,14 @@ TEST(MiniDfsTest, PutGetRemove) {
   EXPECT_EQ(dfs.Get("x").value()->size(), 0u);
   dfs.Remove("x");
   EXPECT_FALSE(dfs.Has("x"));
+  // Take moves the dataset out and removes the name.
+  dfs.Put("y", {{"a", "1"}, {"b", "2"}});
+  Result<Dataset> taken = dfs.Take("y");
+  ASSERT_TRUE(taken.ok());
+  ASSERT_EQ(taken->size(), 2u);
+  EXPECT_EQ((*taken)[1].key, "b");
+  EXPECT_FALSE(dfs.Has("y"));
+  EXPECT_EQ(dfs.Take("y").status().code(), StatusCode::kNotFound);
 }
 
 TEST(PipelineTest, ChainsJobsAndRecordsHistory) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "core/fsjoin.h"
 #include "sim/serial_join.h"
 #include "test_util.h"
+#include "util/random.h"
 
 namespace fsjoin {
 namespace {
@@ -241,6 +243,147 @@ TEST(RsJoinEdgeCases, DisjointVocabulariesNeverRemapProbeTokens) {
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_TRUE(out->pairs.empty());
   EXPECT_EQ(out->report.candidate_pairs, 0u);
+}
+
+// ---- MergeJoinInput against a per-occurrence reference -------------------
+
+/// The union corpus built the direct way: R's dictionary interned first in
+/// id order, then every S token occurrence interned by its string.
+Corpus ReferenceMerge(const Corpus& r, const Corpus& s) {
+  Corpus merged;
+  for (TokenId t = 0; t < static_cast<TokenId>(r.dictionary.size()); ++t) {
+    merged.dictionary.Intern(r.dictionary.TokenString(t));
+  }
+  auto append = [&](const Corpus& side, bool reintern) {
+    for (const Record& rec : side.records) {
+      Record copy;
+      copy.id = static_cast<RecordId>(merged.records.size());
+      for (TokenId t : rec.tokens) {
+        copy.tokens.push_back(
+            reintern ? merged.dictionary.Intern(side.dictionary.TokenString(t))
+                     : t);
+      }
+      std::sort(copy.tokens.begin(), copy.tokens.end());
+      for (TokenId t : copy.tokens) merged.dictionary.AddFrequency(t, 1);
+      merged.records.push_back(std::move(copy));
+    }
+  };
+  append(r, false);
+  append(s, true);
+  return merged;
+}
+
+/// A corpus over `words` whose dictionary holds every word in a shuffled
+/// order — so dictionary ids differ from first-seen record order, and some
+/// entries may be used by no record at all.
+Corpus ShuffledDictionaryCorpus(const std::vector<std::string>& words,
+                                size_t num_records, size_t max_len,
+                                Rng* rng) {
+  Corpus corpus;
+  std::vector<std::string> order = words;
+  Shuffle(order, *rng);
+  for (const std::string& w : order) corpus.dictionary.Intern(w);
+  for (size_t i = 0; i < num_records && !words.empty(); ++i) {
+    Record rec;
+    rec.id = static_cast<RecordId>(i);
+    const size_t len = rng->NextBounded(max_len + 1);
+    for (size_t k = 0; k < len; ++k) {
+      rec.tokens.push_back(
+          static_cast<TokenId>(rng->NextBounded(words.size())));
+    }
+    std::sort(rec.tokens.begin(), rec.tokens.end());
+    rec.tokens.erase(std::unique(rec.tokens.begin(), rec.tokens.end()),
+                     rec.tokens.end());
+    for (TokenId t : rec.tokens) corpus.dictionary.AddFrequency(t, 1);
+    corpus.records.push_back(std::move(rec));
+  }
+  return corpus;
+}
+
+std::vector<std::string> Words(const std::string& prefix, size_t begin,
+                               size_t end) {
+  std::vector<std::string> words;
+  for (size_t i = begin; i < end; ++i) {
+    words.push_back(prefix + std::to_string(i));
+  }
+  return words;
+}
+
+void ExpectSameCorpus(const Corpus& got, const Corpus& want) {
+  ASSERT_EQ(got.dictionary.size(), want.dictionary.size());
+  for (TokenId t = 0; t < static_cast<TokenId>(want.dictionary.size()); ++t) {
+    ASSERT_EQ(got.dictionary.TokenString(t), want.dictionary.TokenString(t))
+        << "token id " << t;
+    ASSERT_EQ(got.dictionary.Frequency(t), want.dictionary.Frequency(t))
+        << "token id " << t;
+  }
+  ASSERT_EQ(got.records.size(), want.records.size());
+  for (size_t i = 0; i < want.records.size(); ++i) {
+    ASSERT_EQ(got.records[i].id, want.records[i].id);
+    ASSERT_EQ(got.records[i].tokens, want.records[i].tokens) << "record " << i;
+  }
+}
+
+TEST(MergeJoinInputTest, MatchesPerOccurrenceInterningOnRandomPairs) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    // Vocabulary shapes: disjoint, overlapping with S-only tokens, S a
+    // subset of R, and one side empty.
+    const int shape = trial % 5;
+    std::vector<std::string> r_words = Words("w", 0, 60);
+    std::vector<std::string> s_words;
+    size_t r_records = 1 + rng.NextBounded(30);
+    size_t s_records = 1 + rng.NextBounded(60);
+    switch (shape) {
+      case 0:
+        s_words = Words("s", 0, 80);
+        break;
+      case 1:
+        s_words = Words("w", 30, 120);
+        break;
+      case 2:
+        s_words = Words("w", 0, 40);
+        break;
+      case 3:
+        r_records = 0;
+        s_words = Words("w", 20, 90);
+        break;
+      default:
+        s_records = 0;
+        s_words = Words("s", 0, 10);
+        break;
+    }
+    const Corpus r = ShuffledDictionaryCorpus(r_words, r_records, 12, &rng);
+    // Large S vocabulary relative to its records: many entries go unused.
+    const Corpus s = ShuffledDictionaryCorpus(s_words, s_records, 12, &rng);
+    ASSERT_TRUE(r.Validate().ok());
+    ASSERT_TRUE(s.Validate().ok());
+    const Corpus merged = MergeJoinInput(JoinInput{r, s});
+    ExpectSameCorpus(merged, ReferenceMerge(r, s));
+    ASSERT_TRUE(merged.Validate().ok());
+  }
+}
+
+TEST(MergeJoinInputTest, EmptySidesAndUnusedDictionaryEntries) {
+  Rng rng(7);
+  const Corpus empty;
+  const Corpus r = ShuffledDictionaryCorpus(Words("w", 0, 50), 10, 8, &rng);
+  Corpus s = ShuffledDictionaryCorpus(Words("w", 25, 75), 10, 8, &rng);
+  // Entries no S record uses are never interned into the union.
+  s.dictionary.Intern("unused-by-any-record");
+  ExpectSameCorpus(MergeJoinInput(JoinInput{r, s}), ReferenceMerge(r, s));
+  EXPECT_FALSE(MergeJoinInput(JoinInput{r, s})
+                   .dictionary.Lookup("unused-by-any-record")
+                   .ok());
+  ExpectSameCorpus(MergeJoinInput(JoinInput{empty, s}),
+                   ReferenceMerge(empty, s));
+  ExpectSameCorpus(MergeJoinInput(JoinInput{r, empty}),
+                   ReferenceMerge(r, empty));
+  ExpectSameCorpus(MergeJoinInput(JoinInput{empty, empty}),
+                   ReferenceMerge(empty, empty));
+  EXPECT_EQ(MergeJoinInput(JoinInput{r, empty}).dictionary.size(),
+            r.dictionary.size());
 }
 
 // ---- Edge case: one side entirely outside the length-filter window -------

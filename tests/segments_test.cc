@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/pivots.h"
 #include "core/segments.h"
 #include "sim/set_ops.h"
@@ -214,6 +217,100 @@ TEST(SegmentBatchTest, AppendEncodedRollsBackOnCorruption) {
   batch.Seal();
   EXPECT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch.length(0), 3u);
+}
+
+// Random segments with ranks spread over every varint width.
+std::vector<SegmentRecord> RandomSegments(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<SegmentRecord> rows(n);
+  for (size_t i = 0; i < n; ++i) {
+    SegmentRecord& seg = rows[i];
+    seg.rid = static_cast<RecordId>(rng.NextBounded(1u << 30));
+    TokenRank rank = static_cast<TokenRank>(rng.NextBounded(1u << 20));
+    const size_t len = rng.NextBounded(40);
+    for (size_t k = 0; k < len; ++k) {
+      rank += 1 + static_cast<TokenRank>(rng.NextBounded(5000));
+      seg.tokens.push_back(rank);
+    }
+    seg.head = static_cast<uint32_t>(rng.NextBounded(100));
+    seg.record_size =
+        seg.head + static_cast<uint32_t>(len + rng.NextBounded(100));
+  }
+  return rows;
+}
+
+void ExpectBatchEqualsRows(const SegmentBatch& batch,
+                           const std::vector<SegmentRecord>& rows) {
+  ASSERT_EQ(batch.size(), rows.size());
+  size_t total = 0;
+  for (uint32_t i = 0; i < batch.size(); ++i) {
+    ASSERT_EQ(batch.rid(i), rows[i].rid);
+    ASSERT_EQ(batch.record_size(i), rows[i].record_size);
+    ASSERT_EQ(batch.head(i), rows[i].head);
+    ASSERT_EQ(std::vector<TokenRank>(batch.tokens(i),
+                                     batch.tokens(i) + batch.length(i)),
+              rows[i].tokens);
+    total += rows[i].tokens.size();
+  }
+  EXPECT_EQ(batch.total_tokens(), total);
+}
+
+TEST(SegmentBatchTest, LargeAppendEncodedBatchMatchesDecodeSegment) {
+  // 50K segments through the reducer's path (one reserve from the summed
+  // value bytes, then AppendEncoded per value) and through the unreserved
+  // path (geometric arena growth): both must equal DecodeSegment row by row.
+  const std::vector<SegmentRecord> rows = RandomSegments(50000, 17);
+  std::vector<std::string> values(rows.size());
+  size_t value_bytes = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EncodeSegment(rows[i], &values[i]);
+    value_bytes += values[i].size();
+  }
+  std::vector<SegmentRecord> decoded(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_TRUE(DecodeSegment(values[i], &decoded[i]).ok());
+  }
+  SegmentBatch reserved;
+  reserved.Reserve(values.size(), value_bytes);
+  SegmentBatch grown;
+  for (const std::string& v : values) {
+    ASSERT_TRUE(reserved.AppendEncoded(v).ok());
+    ASSERT_TRUE(grown.AppendEncoded(v).ok());
+  }
+  reserved.Seal();
+  grown.Seal();
+  ExpectBatchEqualsRows(reserved, decoded);
+  ExpectBatchEqualsRows(grown, decoded);
+}
+
+TEST(SegmentBatchTest, RollbackAfterCorruptionLateInALargeBatch) {
+  const std::vector<SegmentRecord> rows = RandomSegments(20000, 29);
+  SegmentBatch batch;
+  for (const SegmentRecord& seg : rows) {
+    std::string buf;
+    EncodeSegment(seg, &buf);
+    ASSERT_TRUE(batch.AppendEncoded(buf).ok());
+  }
+  const size_t tokens_before = batch.total_tokens();
+  // A long segment whose last token varint is cut short, then one with
+  // trailing bytes: each fails after decoding tokens into the arena, and
+  // the batch must roll back to exactly its previous contents.
+  SegmentRecord bad = {3, 500, 0, {}};
+  for (TokenRank r = 0; r < 400; ++r) bad.tokens.push_back(100000 + r * 3);
+  std::string buf;
+  EncodeSegment(bad, &buf);
+  EXPECT_FALSE(
+      batch.AppendEncoded(std::string_view(buf).substr(0, buf.size() - 1))
+          .ok());
+  EXPECT_EQ(batch.total_tokens(), tokens_before);
+  EXPECT_FALSE(batch.AppendEncoded(buf + "x").ok());
+  EXPECT_EQ(batch.total_tokens(), tokens_before);
+  // The batch keeps appending after the failures.
+  ASSERT_TRUE(batch.AppendEncoded(buf).ok());
+  batch.Seal();
+  std::vector<SegmentRecord> expected = rows;
+  expected.push_back(bad);
+  ExpectBatchEqualsRows(batch, expected);
 }
 
 TEST(SegmentBatchTest, SealedBitmapsAreSound) {

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <map>
 #include <set>
+#include <string>
 
 #include "test_util.h"
 #include "text/corpus.h"
@@ -70,6 +71,79 @@ TEST(DictionaryTest, LookupAndFrequency) {
   dict.AddFrequency(a, 3);
   EXPECT_EQ(dict.Frequency(a), 3u);
   EXPECT_EQ(dict.Frequency(999), 0u);  // unknown id
+}
+
+TEST(DictionaryTest, IdsStayDenseInFirstSeenOrderPastManyGrowths) {
+  // 150K distinct tokens force many table doublings; every id must still be
+  // its token's first-seen position, and re-interning must find it.
+  constexpr TokenId kTokens = 150000;
+  TokenDictionary dict;
+  for (TokenId i = 0; i < kTokens; ++i) {
+    ASSERT_EQ(dict.Intern("tok" + std::to_string(i)), i);
+    if (i % 7 == 0) {
+      ASSERT_EQ(dict.Intern("tok" + std::to_string(i / 2)), i / 2);
+    }
+  }
+  ASSERT_EQ(dict.size(), kTokens);
+  for (TokenId i = 0; i < kTokens; ++i) {
+    const std::string token = "tok" + std::to_string(i);
+    ASSERT_EQ(dict.TokenString(i), token);
+    Result<TokenId> found = dict.Lookup(token);
+    ASSERT_TRUE(found.ok());
+    ASSERT_EQ(*found, i);
+  }
+  EXPECT_EQ(dict.size(), kTokens);
+}
+
+TEST(DictionaryTest, LookupOfMissingTokenIsNotFound) {
+  TokenDictionary empty;
+  EXPECT_EQ(empty.Lookup("x").status().code(), StatusCode::kNotFound);
+  TokenDictionary dict;
+  for (int i = 0; i < 100; ++i) dict.Intern("t" + std::to_string(i));
+  EXPECT_EQ(dict.Lookup("t100").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(dict.Lookup("t").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(dict.Lookup("").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(dict.size(), 100u);  // lookups never intern
+}
+
+TEST(DictionaryTest, EmptyStringIsAnOrdinaryToken) {
+  TokenDictionary dict;
+  const TokenId a = dict.Intern("a");
+  const TokenId empty = dict.Intern("");
+  EXPECT_NE(a, empty);
+  EXPECT_EQ(dict.Intern(""), empty);
+  EXPECT_EQ(dict.TokenString(empty), "");
+  Result<TokenId> found = dict.Lookup("");
+  ASSERT_TRUE(found.ok());
+  EXPECT_EQ(*found, empty);
+  EXPECT_EQ(dict.size(), 2u);
+}
+
+TEST(DictionaryTest, CopyInternsIndependentlyOfTheOriginal) {
+  TokenDictionary original;
+  for (int i = 0; i < 20; ++i) original.Intern("w" + std::to_string(i));
+  original.AddFrequency(3, 5);
+  TokenDictionary copy = original;
+  // Enough new tokens to make the copy's table grow.
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_EQ(copy.Intern("c" + std::to_string(i)),
+              static_cast<TokenId>(20 + i));
+  }
+  copy.AddFrequency(3, 1);
+  EXPECT_EQ(original.size(), 20u);
+  EXPECT_FALSE(original.Lookup("c0").ok());
+  EXPECT_EQ(original.Frequency(3), 5u);
+  EXPECT_EQ(copy.Frequency(3), 6u);
+  // Both still resolve the shared tokens; the original keeps interning on
+  // its own id sequence.
+  for (TokenId i = 0; i < 20; ++i) {
+    const std::string token = "w" + std::to_string(i);
+    EXPECT_EQ(*original.Lookup(token), i);
+    EXPECT_EQ(*copy.Lookup(token), i);
+  }
+  EXPECT_EQ(original.Intern("o"), 20u);
+  EXPECT_EQ(*copy.Lookup("c0"), 20u);
+  EXPECT_FALSE(copy.Lookup("o").ok());
 }
 
 // ---- Corpus ---------------------------------------------------------------

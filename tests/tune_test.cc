@@ -239,6 +239,8 @@ TEST(TuneConfigTest, OutOfRangeSampleRateIsRejected) {
   EXPECT_FALSE(FsJoin(config).Run(corpus).ok());
   config.exec.tune_sample_rate = -0.1;
   EXPECT_FALSE(FsJoin(config).Run(corpus).ok());
+  config.exec.tune_sample_rate = std::nan("");
+  EXPECT_FALSE(FsJoin(config).Run(corpus).ok());
 }
 
 // ---- End-to-end: --auto is byte-identical to hand-set configs -------------

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <numeric>
 #include <set>
@@ -262,6 +263,29 @@ TEST(StringUtilTest, HumanBytesAndThousands) {
   EXPECT_EQ(WithThousandsSep(1234567), "1,234,567");
   EXPECT_EQ(WithThousandsSep(12), "12");
   EXPECT_EQ(WithThousandsSep(0), "0");
+}
+
+TEST(StringUtilTest, ParseUnsignedAcceptsOnlyPlainDigitsInRange) {
+  const uint64_t kMax64 = std::numeric_limits<uint64_t>::max();
+  uint64_t v = 7;
+  EXPECT_TRUE(ParseUnsigned("0", kMax64, &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(ParseUnsigned("0042", 100, &v));
+  EXPECT_EQ(v, 42u);
+  EXPECT_TRUE(ParseUnsigned("18446744073709551615", kMax64, &v));
+  EXPECT_EQ(v, kMax64);
+  EXPECT_TRUE(ParseUnsigned("2147483647", 2147483647, &v));
+  EXPECT_EQ(v, 2147483647u);
+  v = 7;
+  for (const char* bad : {"", "-1", "+3", " 1", "1 ", "1k", "0x10", "1.5",
+                          "18446744073709551616", "99999999999999999999"}) {
+    EXPECT_FALSE(ParseUnsigned(bad, kMax64, &v)) << bad;
+  }
+  EXPECT_FALSE(ParseUnsigned("2147483648", 2147483647, &v));
+  EXPECT_FALSE(ParseUnsigned("4294967296", 4294967295u, &v));
+  EXPECT_FALSE(ParseUnsigned("7", 5, &v));
+  EXPECT_FALSE(ParseUnsigned("9", 0, &v));
+  EXPECT_EQ(v, 7u);  // untouched on failure
 }
 
 TEST(StringUtilTest, StrFormat) {

@@ -27,6 +27,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "check/sweeper.h"
@@ -54,11 +55,8 @@ void PrintUsage(std::FILE* stream) {
 }
 
 bool ParseUint64(const char* text, uint64_t* value) {
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return false;
-  *value = parsed;
-  return true;
+  return fsjoin::ParseUnsigned(text, std::numeric_limits<uint64_t>::max(),
+                               value);
 }
 
 }  // namespace
