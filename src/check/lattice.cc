@@ -32,7 +32,8 @@ constexpr exec::KernelMode kKernels[] = {
     exec::KernelMode::kAuto, exec::KernelMode::kSimd, exec::KernelMode::kSimd,
     exec::KernelMode::kPacked, exec::KernelMode::kScalar};
 // Runner menu weighted toward the thread-pool default; the subprocess
-// runner appears often enough that every sweep crosses a fork boundary,
+// runner appears often enough that every sweep crosses a process boundary
+// (FS-Join tasks re-exec by factory name, the baselines' tasks fork),
 // which is how digest identity across runners gets continuous coverage.
 constexpr mr::RunnerKind kRunners[] = {
     mr::RunnerKind::kThreads, mr::RunnerKind::kThreads,

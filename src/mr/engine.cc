@@ -133,8 +133,11 @@ Status Engine::Run(const JobConfig& config, const Dataset& input,
   if (partitioner == nullptr) {
     partitioner = std::make_shared<HashPartitioner>();
   }
+  // In-process bodies mutate the job's shared context directly, so they
+  // need no capture hook.
   const TaskFactories factories{config.mapper_factory, config.reducer_factory,
-                                config.combiner_factory, partitioner};
+                                config.combiner_factory, partitioner,
+                                /*capture=*/nullptr};
 
   const uint32_t num_maps = std::min<uint32_t>(
       config.num_map_tasks,
@@ -168,6 +171,10 @@ Status Engine::Run(const JobConfig& config, const Dataset& input,
   // as a --worker-task process that shares nothing with this one.
   const bool exec_capable = isolated && !config.task_factory.empty() &&
                             HasTaskFactory(config.task_factory);
+  // One copy of the payload for the whole job, shared by every task spec.
+  const std::shared_ptr<const std::string> payload =
+      exec_capable ? std::make_shared<const std::string>(config.task_payload)
+                   : nullptr;
   // Distributed runners stream the shuffle worker-to-worker instead of
   // moving arenas through this process: map tasks retain their sorted
   // partitions on the executing worker, reduce tasks pull them directly
@@ -208,7 +215,7 @@ Status Engine::Run(const JobConfig& config, const Dataset& input,
                                       spec.input_end);
       spec.input_runs = {path};
       spec.factory = config.task_factory;
-      spec.payload = config.task_payload;
+      spec.payload = payload;
       spec.retain_shuffle = net_shuffle;
     });
     for (const Status& st : write_status) FSJOIN_RETURN_NOT_OK(st);
@@ -314,7 +321,7 @@ Status Engine::Run(const JobConfig& config, const Dataset& input,
     for (uint32_t r = 0; r < num_reds; ++r) {
       TaskSpec& spec = red_specs[r];
       spec.factory = config.task_factory;
-      spec.payload = config.task_payload;
+      spec.payload = payload;
       spec.shuffle_sources.reserve(num_maps);
       for (uint32_t m = 0; m < num_maps; ++m) {
         spec.shuffle_sources.push_back(ShuffleSource{config.name, m, ""});
@@ -347,7 +354,7 @@ Status Engine::Run(const JobConfig& config, const Dataset& input,
       }
       if (exec_capable) {
         spec.factory = config.task_factory;
-        spec.payload = config.task_payload;
+        spec.payload = payload;
       }
     });
     for (const Status& st : write_status) FSJOIN_RETURN_NOT_OK(st);

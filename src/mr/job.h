@@ -104,7 +104,9 @@ using ReducerFactory = std::function<std::unique_ptr<Reducer>()>;
 ///             metrics-merge rule): fold the captured bytes into the live
 ///             context. Retried attempts are merged once, never per try.
 /// In-process runners ignore the channel — reducers mutate the shared
-/// context directly, as in the seed engine.
+/// context directly, as in the seed engine. Tasks of factory-named jobs
+/// that run in worker processes capture through TaskFactories::capture
+/// (mr/task.h) in the same byte format, so `merge` serves both.
 struct TaskSideChannel {
   std::function<void()> reset;
   std::function<std::string()> capture;

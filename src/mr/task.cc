@@ -133,6 +133,11 @@ const char* TaskKindName(TaskKind kind) {
   return "?";
 }
 
+const std::string& TaskSpec::payload_bytes() const {
+  static const std::string* const kEmpty = new std::string();
+  return payload != nullptr ? *payload : *kEmpty;
+}
+
 void TaskSpec::EncodeTo(std::string* dst) const {
   PutLengthPrefixed(dst, job_name);
   PutVarint32(dst, static_cast<uint32_t>(kind));
@@ -144,7 +149,7 @@ void TaskSpec::EncodeTo(std::string* dst) const {
   for (const std::string& run : input_runs) PutLengthPrefixed(dst, run);
   PutLengthPrefixed(dst, output_base);
   PutLengthPrefixed(dst, factory);
-  PutLengthPrefixed(dst, payload);
+  PutLengthPrefixed(dst, payload_bytes());
   PutVarint32(dst, attempt);
   PutVarint32(dst, retain_shuffle ? 1 : 0);
   PutVarint32(dst, static_cast<uint32_t>(shuffle_sources.size()));
@@ -183,7 +188,7 @@ Result<TaskSpec> TaskSpec::Decode(std::string_view data) {
   FSJOIN_RETURN_NOT_OK(dec.GetLengthPrefixed(&view));
   spec.factory = std::string(view);
   FSJOIN_RETURN_NOT_OK(dec.GetLengthPrefixed(&view));
-  spec.payload = std::string(view);
+  spec.payload = std::make_shared<const std::string>(view);
   FSJOIN_RETURN_NOT_OK(dec.GetVarint32(&spec.attempt));
   uint32_t retain = 0;
   FSJOIN_RETURN_NOT_OK(dec.GetVarint32(&retain));

@@ -67,8 +67,12 @@ struct TaskSpec {
   /// Registered task-factory name (empty = closure-only task: runnable
   /// in-process or in a forked child, but not via binary re-exec).
   std::string factory;
-  /// Opaque parameter bytes handed to the factory on the worker side.
-  std::string payload;
+  /// Opaque parameter bytes handed to the factory on the worker side
+  /// (null = empty). Shared, not copied: every task of a stage carries the
+  /// same payload — the filtering job's holds the whole token ordering —
+  /// so the per-task specs and the copies runners keep must not multiply
+  /// it.
+  std::shared_ptr<const std::string> payload;
   /// Zero-based attempt number, assigned by the scheduler.
   uint32_t attempt = 0;
   /// Map tasks under a distributed runner: keep the sorted per-partition
@@ -80,6 +84,9 @@ struct TaskSpec {
   /// pull and merge, in map-task order (the loser tree's source-index
   /// tie-break makes that order part of the result's byte identity).
   std::vector<ShuffleSource> shuffle_sources;
+
+  /// The payload bytes; empty when `payload` is null.
+  const std::string& payload_bytes() const;
 
   void EncodeTo(std::string* dst) const;
   static Result<TaskSpec> Decode(std::string_view data);
@@ -102,8 +109,9 @@ struct TaskOutput {
   TaskMetrics metrics;
   /// Map tasks with a combiner: records fed into the combiner.
   uint64_t combine_input_records = 0;
-  /// Captured TaskSideChannel bytes (subprocess runner only); merged into
-  /// the parent's shared context exactly once by the scheduler.
+  /// Captured side-state bytes — TaskSideChannel::capture in a forked
+  /// child, TaskFactories::capture in a worker process; merged into the
+  /// parent's shared context exactly once by the scheduler.
   std::string side_state;
   /// Map tasks with TaskSpec::retain_shuffle: per-reduce-partition record
   /// and byte counts of the retained output (the data itself stayed on the
@@ -126,6 +134,14 @@ struct TaskFactories {
   ReducerFactory reducer;
   ReducerFactory combiner;  ///< may be null
   std::shared_ptr<const Partitioner> partitioner;  ///< null = HashPartitioner
+  /// Optional: serializes the side state the task's operators accumulated
+  /// in the factory's own context — the same bytes the job's
+  /// TaskSideChannel::capture produces in a forked child. Worker processes
+  /// (--worker-task and --worker-serve) call it once after a successful
+  /// task body and ship the bytes in TaskOutput::side_state, which the
+  /// coordinator's scheduler merges exactly once per logical task. Null
+  /// for jobs without shared mutable context.
+  std::function<std::string()> capture;
 };
 
 using TaskFactoryFn =

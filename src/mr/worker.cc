@@ -36,8 +36,9 @@ Status ExecuteWorkerTask(const std::string& spec_path, std::string* base) {
   if (spec.factory.empty()) {
     return Status::InvalidArgument("worker task has no factory name");
   }
-  FSJOIN_ASSIGN_OR_RETURN(TaskFactories factories,
-                          ResolveTaskFactory(spec.factory, spec.payload));
+  FSJOIN_ASSIGN_OR_RETURN(
+      TaskFactories factories,
+      ResolveTaskFactory(spec.factory, spec.payload_bytes()));
 
   TaskOutput out;
   if (spec.kind == TaskKind::kMap) {
@@ -69,6 +70,7 @@ Status ExecuteWorkerTask(const std::string& spec_path, std::string* base) {
   } else {
     FSJOIN_RETURN_NOT_OK(ExecuteReduceTaskFromRuns(spec, factories, &out));
   }
+  if (factories.capture) out.side_state = factories.capture();
   return WriteTaskOutputFiles(spec.output_base, out);
 }
 

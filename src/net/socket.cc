@@ -48,6 +48,7 @@ Result<Listener> Listener::Listen(const std::string&, uint16_t, int) {
 Result<Socket> Listener::Accept(int) {
   return Status::Unimplemented("cluster sockets require POSIX");
 }
+void Listener::Shutdown() {}
 void Listener::Close() {}
 
 #else  // !_WIN32
@@ -216,6 +217,12 @@ Listener& Listener::operator=(Listener&& other) noexcept {
 }
 
 Listener::~Listener() { Close(); }
+
+void Listener::Shutdown() {
+  // On a listening socket, shutdown() moves it out of LISTEN: a poll() in
+  // Accept reports it readable and the accept() that follows fails.
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
 
 void Listener::Close() {
   if (fd_ >= 0) {

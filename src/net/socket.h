@@ -87,6 +87,12 @@ class Listener {
   /// Timeout surfaces as IoError("accept timed out ...").
   Result<Socket> Accept(int timeout_ms);
 
+  /// Wakes an Accept blocked in another thread (it then fails at once, as
+  /// does every later Accept) without releasing the descriptor, so it is
+  /// safe while that thread still uses it. Close afterwards, once the
+  /// accepting thread is done.
+  void Shutdown();
+
   void Close();
 
  private:

@@ -98,7 +98,10 @@ class ShuffleStore {
 
 /// Serves kShuffleFetch requests from peer workers (and self-fetches over
 /// loopback): one thread per connection, each streaming whole sorted
-/// partitions as kShuffleChunk/kShuffleEnd.
+/// partitions as kShuffleChunk/kShuffleEnd. A connection thread hands its
+/// own handle to the exited list as it finishes, and the accept loop joins
+/// those before taking the next connection, so live threads (and their
+/// stacks) track open connections — not every connection the job made.
 class ShuffleServer {
  public:
   explicit ShuffleServer(ShuffleStore* store) : store_(store) {}
@@ -115,14 +118,19 @@ class ShuffleServer {
 
   void Stop() {
     if (stop_.exchange(true)) return;
+    // Wake the accept loop now instead of letting it sit out its poll.
+    listener_.Shutdown();
     if (accept_thread_.joinable()) accept_thread_.join();
     listener_.Close();
-    std::vector<std::thread> conns;
+    std::vector<std::thread> threads;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      conns = std::move(conn_threads_);
+      for (auto& [id, t] : conns_) threads.push_back(std::move(t));
+      conns_.clear();
+      for (std::thread& t : exited_) threads.push_back(std::move(t));
+      exited_.clear();
     }
-    for (std::thread& t : conns) {
+    for (std::thread& t : threads) {
       if (t.joinable()) t.join();
     }
   }
@@ -130,14 +138,38 @@ class ShuffleServer {
  private:
   void AcceptLoop() {
     while (!stop_.load()) {
+      // The timeout is only a backstop: Stop() wakes the poll directly.
       Result<Socket> conn = listener_.Accept(/*timeout_ms=*/200);
-      if (!conn.ok()) continue;  // timeout or transient error; poll stop flag
+      ReapExited();
+      if (!conn.ok()) continue;  // timeout, shutdown or transient error
       std::lock_guard<std::mutex> lock(mu_);
-      conn_threads_.emplace_back(
-          [this, sock = std::make_shared<Socket>(std::move(*conn))]() mutable {
+      // Created under mu_, so the thread's exit hand-off (which takes mu_)
+      // always finds its own entry.
+      const uint64_t id = next_conn_id_++;
+      conns_.emplace(
+          id, std::thread([this, id, sock = std::make_shared<Socket>(
+                                         std::move(*conn))]() mutable {
             ServeConn(sock.get());
-          });
+            sock.reset();  // close before the hand-off
+            std::lock_guard<std::mutex> exit_lock(mu_);
+            auto it = conns_.find(id);
+            if (it != conns_.end()) {
+              exited_.push_back(std::move(it->second));
+              conns_.erase(it);
+            }
+          }));
     }
+  }
+
+  /// Joins connection threads that have finished serving; each is at most
+  /// a few instructions from returning.
+  void ReapExited() {
+    std::vector<std::thread> done;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      done.swap(exited_);
+    }
+    for (std::thread& t : done) t.join();
   }
 
   void ServeConn(Socket* sock) {
@@ -177,7 +209,9 @@ class ShuffleServer {
   std::atomic<bool> stop_{false};
   std::thread accept_thread_;
   std::mutex mu_;
-  std::vector<std::thread> conn_threads_;
+  uint64_t next_conn_id_ = 0;                 ///< mu_
+  std::map<uint64_t, std::thread> conns_;     ///< mu_: serving connections
+  std::vector<std::thread> exited_;           ///< mu_: finished, unjoined
 };
 
 /// Wraps one remote shuffle source so a mid-merge failure is attributed to
@@ -410,7 +444,16 @@ class WorkerSession {
     }
     FSJOIN_ASSIGN_OR_RETURN(
         mr::TaskFactories factories,
-        mr::ResolveTaskFactory(spec.factory, spec.payload));
+        mr::ResolveTaskFactory(spec.factory, spec.payload_bytes()));
+    FSJOIN_RETURN_NOT_OK(RunTaskBody(spec, factories, std::move(input), out,
+                                     lost_endpoint));
+    if (factories.capture) out->side_state = factories.capture();
+    return Status::OK();
+  }
+
+  Status RunTaskBody(const mr::TaskSpec& spec,
+                     const mr::TaskFactories& factories, mr::Dataset input,
+                     mr::TaskOutput* out, std::string* lost_endpoint) {
     if (spec.kind == mr::TaskKind::kMap) {
       FSJOIN_RETURN_NOT_OK(mr::ExecuteMapTask(spec, factories, input.data(),
                                               input.size(), out));

@@ -1,9 +1,11 @@
 #include "sim/global_order.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "util/logging.h"
+#include "util/serde.h"
 
 namespace fsjoin {
 
@@ -35,6 +37,52 @@ GlobalOrder GlobalOrder::FromCorpus(const Corpus& corpus) {
     freq[t] = corpus.dictionary.Frequency(static_cast<TokenId>(t));
   }
   return FromFrequencies(std::move(freq));
+}
+
+void GlobalOrder::EncodeRanksTo(std::string* dst) const {
+  PutVarint64(dst, token_at_rank_.size());
+  int64_t prev = 0;
+  for (TokenId t : token_at_rank_) {
+    PutZigzagVarint64(dst, static_cast<int64_t>(t) - prev);
+    prev = static_cast<int64_t>(t);
+  }
+}
+
+Result<GlobalOrder> GlobalOrder::DecodeRanks(std::string_view data) {
+  Decoder dec(data);
+  uint64_t n = 0;
+  if (!dec.GetVarint64(&n).ok() || n > dec.remaining() ||
+      n > std::numeric_limits<TokenRank>::max()) {
+    // Every token takes at least one byte.
+    return Status::Corruption("global order: truncated token count");
+  }
+  GlobalOrder order;
+  order.token_at_rank_.resize(n);
+  order.rank_of_token_.assign(n, static_cast<TokenRank>(n));
+  int64_t prev = 0;
+  for (uint64_t r = 0; r < n; ++r) {
+    int64_t delta = 0;
+    if (!dec.GetZigzagVarint64(&delta).ok()) {
+      return Status::Corruption("global order: truncated rank list");
+    }
+    // |delta| <= n keeps prev + delta far from overflow.
+    const int64_t bound = static_cast<int64_t>(n);
+    if (delta > bound || delta < -bound) {
+      return Status::Corruption("global order: ranks are not a permutation");
+    }
+    const int64_t token = prev + delta;
+    if (token < 0 || static_cast<uint64_t>(token) >= n ||
+        order.rank_of_token_[token] != n) {
+      return Status::Corruption("global order: ranks are not a permutation");
+    }
+    order.token_at_rank_[r] = static_cast<TokenId>(token);
+    order.rank_of_token_[token] = static_cast<TokenRank>(r);
+    prev = token;
+  }
+  if (!dec.done()) {
+    return Status::Corruption("global order: trailing bytes");
+  }
+  return order;
 }
 
 std::vector<OrderedRecord> ApplyGlobalOrder(const Corpus& corpus,

@@ -2,6 +2,8 @@
 #define FSJOIN_SIM_GLOBAL_ORDER_H_
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "text/corpus.h"
@@ -34,15 +36,29 @@ class GlobalOrder {
   /// Token holding a given rank.
   TokenId TokenAt(TokenRank rank) const { return token_at_rank_[rank]; }
 
-  /// Term frequency of the token at `rank` (ascending in rank).
+  /// Term frequency of the token at `rank` (ascending in rank). Requires
+  /// an ordering built from frequencies, not one rebuilt by DecodeRanks.
   uint64_t FrequencyAt(TokenRank rank) const {
     return frequency_[token_at_rank_[rank]];
   }
 
   size_t NumTokens() const { return token_at_rank_.size(); }
 
-  /// Total term frequency over the whole domain (sum over tokens).
+  /// Total term frequency over the whole domain (sum over tokens); 0 on a
+  /// decoded ordering.
   uint64_t TotalFrequency() const { return total_frequency_; }
+
+  /// Appends the ranks (not the frequencies) as a varint token count
+  /// followed by the tokens in rank order, each as the zigzag varint of
+  /// its difference from the previous one. Ties in frequency are broken by
+  /// ascending token id, so the long tail of equal-frequency tokens codes
+  /// as small positive steps — about one byte per token.
+  void EncodeRanksTo(std::string* dst) const;
+
+  /// Rebuilds an ordering from EncodeRanksTo bytes: RankOf/TokenAt are
+  /// exact, frequencies are absent. Truncation, trailing bytes and
+  /// sequences that are not a permutation of [0, n) are Corruption.
+  static Result<GlobalOrder> DecodeRanks(std::string_view data);
 
  private:
   std::vector<TokenRank> rank_of_token_;

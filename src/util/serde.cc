@@ -14,6 +14,11 @@ void PutVarint32(std::string* dst, uint32_t v) {
   PutVarint64(dst, v);
 }
 
+void PutZigzagVarint64(std::string* dst, int64_t v) {
+  PutVarint64(dst, (static_cast<uint64_t>(v) << 1) ^
+                       static_cast<uint64_t>(v >> 63));
+}
+
 void PutFixed32BE(std::string* dst, uint32_t v) {
   dst->push_back(static_cast<char>((v >> 24) & 0xff));
   dst->push_back(static_cast<char>((v >> 16) & 0xff));
@@ -59,6 +64,13 @@ Status Decoder::GetVarint32(uint32_t* v) {
   FSJOIN_RETURN_NOT_OK(GetVarint64(&wide));
   if (wide > 0xffffffffULL) return Status::OutOfRange("varint32 overflow");
   *v = static_cast<uint32_t>(wide);
+  return Status::OK();
+}
+
+Status Decoder::GetZigzagVarint64(int64_t* v) {
+  uint64_t zigzag = 0;
+  FSJOIN_RETURN_NOT_OK(GetVarint64(&zigzag));
+  *v = static_cast<int64_t>(zigzag >> 1) ^ -static_cast<int64_t>(zigzag & 1);
   return Status::OK();
 }
 

@@ -23,6 +23,10 @@ namespace fsjoin {
 void PutVarint64(std::string* dst, uint64_t v);
 void PutVarint32(std::string* dst, uint32_t v);
 
+/// Appends a signed integer as the varint of its zigzag code, so small
+/// magnitudes of either sign take one byte.
+void PutZigzagVarint64(std::string* dst, int64_t v);
+
 /// Appends a 32/64-bit integer in big-endian order (bytewise-sortable).
 void PutFixed32BE(std::string* dst, uint32_t v);
 void PutFixed64BE(std::string* dst, uint64_t v);
@@ -42,6 +46,7 @@ class Decoder {
 
   Status GetVarint64(uint64_t* v);
   Status GetVarint32(uint32_t* v);
+  Status GetZigzagVarint64(int64_t* v);
   Status GetFixed32BE(uint32_t* v);
   Status GetFixed64BE(uint64_t* v);
   Status GetLengthPrefixed(std::string_view* value);

@@ -32,7 +32,7 @@ TaskSpec SampleSpec() {
   spec.input_runs = {"/tmp/a.run", "/tmp/b.run", ""};
   spec.output_base = "/tmp/scratch/red-t7";
   spec.factory = "core.ordering";
-  spec.payload = std::string("bin\0ary", 7);
+  spec.payload = std::make_shared<const std::string>("bin\0ary", 7);
   spec.attempt = 3;
   return spec;
 }
@@ -53,7 +53,7 @@ TEST(TaskSpecTest, CodecRoundTripsEveryField) {
   EXPECT_EQ(decoded->input_runs, spec.input_runs);
   EXPECT_EQ(decoded->output_base, spec.output_base);
   EXPECT_EQ(decoded->factory, spec.factory);
-  EXPECT_EQ(decoded->payload, spec.payload);
+  EXPECT_EQ(decoded->payload_bytes(), spec.payload_bytes());
   EXPECT_EQ(decoded->attempt, spec.attempt);
 }
 

@@ -86,6 +86,24 @@ TEST(SerdeTest, VarintRoundTrip) {
   EXPECT_TRUE(dec.done());
 }
 
+TEST(SerdeTest, ZigzagVarintRoundTrip) {
+  std::string buf;
+  const int64_t values[] = {0, -1, 1, -64, 63, -65, INT64_MIN, INT64_MAX};
+  for (int64_t v : values) PutZigzagVarint64(&buf, v);
+  // -64..63 take one byte each, like small unsigned varints.
+  std::string small;
+  PutZigzagVarint64(&small, -64);
+  PutZigzagVarint64(&small, 63);
+  EXPECT_EQ(small.size(), 2u);
+  Decoder dec(buf);
+  for (int64_t v : values) {
+    int64_t got = 0;
+    ASSERT_TRUE(dec.GetZigzagVarint64(&got).ok());
+    EXPECT_EQ(got, v);
+  }
+  EXPECT_TRUE(dec.done());
+}
+
 TEST(SerdeTest, FixedBigEndianIsOrderPreserving) {
   std::string a, b;
   PutFixed32BE(&a, 5);
