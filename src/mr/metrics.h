@@ -7,6 +7,14 @@
 
 namespace fsjoin::mr {
 
+/// Where a task attempt ran, as recorded by the runner that ran it.
+enum class TaskTransport : uint8_t {
+  kInProcess = 0,  ///< inline or thread-pool runner
+  kFork = 1,       ///< forked child running the stage's closure
+  kExec = 2,       ///< re-execed --worker-task process (factory-named job)
+  kRemote = 3,     ///< cluster worker, over the network shuffle
+};
+
 /// Per-task cost record, the input to the cluster makespan simulator.
 struct TaskMetrics {
   int64_t wall_micros = 0;        ///< measured CPU/wall time of the task body
@@ -30,6 +38,10 @@ struct TaskMetrics {
   /// exactly once per logical task, so retries never double-count. The
   /// cluster simulator charges per-task overhead once per attempt.
   uint32_t attempts = 1;
+  /// How the final, successful attempt ran. Set by the runner in this
+  /// process after the attempt, so it is not part of the task-output
+  /// codec.
+  TaskTransport transport = TaskTransport::kInProcess;
 };
 
 /// Everything the engine measures about one MapReduce job. These counters
