@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "util/logging.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace fsjoin::bench {
@@ -71,19 +72,33 @@ double SimulatedMs(const std::vector<mr::JobMetrics>& jobs, uint32_t nodes,
 BenchOptions ParseBenchOptions(const std::string& bench_name, int argc,
                                char** argv) {
   BenchOptions options;
+  // Run counts: plain digits up to kMaxRuns, so a sign, a suffix or an
+  // overflow is a usage error instead of a silent 0 or a wrapped count.
+  constexpr uint64_t kMaxRuns = 1000000;
+  auto parse_runs = [](const char* text, int* out) {
+    uint64_t v = 0;
+    if (!ParseUnsigned(text, kMaxRuns, &v)) return false;
+    *out = static_cast<int>(v);
+    return true;
+  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
+    bool ok = true;
     if (std::strncmp(arg, "--warmup=", 9) == 0) {
-      options.warmup = std::atoi(arg + 9);
+      ok = parse_runs(arg + 9, &options.warmup);
     } else if (std::strncmp(arg, "--repeat=", 9) == 0) {
-      options.repeat = std::max(1, std::atoi(arg + 9));
+      ok = parse_runs(arg + 9, &options.repeat);
+      options.repeat = std::max(1, options.repeat);
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       options.json_path = arg + 7;
     } else if (std::strcmp(arg, "--json") == 0) {
       options.json_path = "BENCH_" + bench_name + ".json";
     } else {
+      ok = false;
+    }
+    if (!ok) {
       std::fprintf(stderr,
-                   "unknown argument %s\nusage: %s [--warmup=N] [--repeat=N] "
+                   "bad argument %s\nusage: %s [--warmup=N] [--repeat=N] "
                    "[--json[=PATH]]\n",
                    arg, bench_name.c_str());
       std::exit(2);

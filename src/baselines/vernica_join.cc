@@ -203,22 +203,9 @@ Result<BaselineOutput> RunVernicaJoin(const Corpus& corpus,
   mr::Dataset input = MakeCorpusDataset(corpus);
 
   // Plan 1: ordering.
-  mr::JobConfig ordering_cfg = MakeOrderingJobConfig(
-      config.exec.num_map_tasks, config.exec.num_reduce_tasks);
-  exec::Plan ordering_plan("vernica-ordering");
-  exec::StageHints ordering_hints;
-  ordering_hints.task_factory = ordering_cfg.task_factory;
-  ordering_hints.task_payload = ordering_cfg.task_payload;
-  ordering_plan
-      .FlatMap("tokenize", ordering_cfg.mapper_factory)
-      .GroupByKey("ordering", ordering_cfg.reducer_factory,
-                  ordering_cfg.partitioner, ordering_cfg.combiner_factory,
-                  std::move(ordering_hints));
-  FSJOIN_ASSIGN_OR_RETURN(mr::Dataset freq,
-                          backend->Execute(ordering_plan, input));
   FSJOIN_ASSIGN_OR_RETURN(
-      GlobalOrder order,
-      BuildGlobalOrderFromJobOutput(freq, corpus.dictionary.size()));
+      GlobalOrder order, RunOrderingPlan(backend.get(), "vernica-ordering", input,
+                                         corpus.dictionary.size()));
 
   auto ctx = std::make_shared<VernicaContext>();
   ctx->config = config;
@@ -249,7 +236,7 @@ Result<BaselineOutput> RunVernicaJoin(const Corpus& corpus,
                [ctx] { return std::make_unique<KernelMapper>(ctx); })
       .GroupByKey("vernica-kernel",
                   [ctx] { return std::make_unique<KernelReducer>(ctx); },
-                  nullptr, nullptr, std::move(kernel_hints));
+                  nullptr, std::move(kernel_hints));
   FSJOIN_ASSIGN_OR_RETURN(mr::Dataset results,
                           backend->Execute(kernel_plan, input));
 

@@ -139,7 +139,7 @@ Result<BaselineOutput> RunVSmartJoin(const Corpus& corpus,
       .GroupByKey("vsmart-join",
                   [ctx] { return std::make_unique<PairEnumerationReducer>(ctx); })
       .GroupByKey("verification", verification_cfg.reducer_factory, nullptr,
-                  nullptr, std::move(verification_hints));
+                  std::move(verification_hints));
   FSJOIN_ASSIGN_OR_RETURN(mr::Dataset results, backend->Execute(plan, input));
 
   BaselineOutput output;

@@ -87,22 +87,9 @@ Result<FsJoinOutput> FsJoin::Run(const Corpus& corpus) const {
   mr::Dataset input = MakeCorpusDataset(corpus);
 
   // --- Plan 1: ordering -------------------------------------------------
-  mr::JobConfig ordering_cfg = MakeOrderingJobConfig(
-      config_.exec.num_map_tasks, config_.exec.num_reduce_tasks);
-  exec::Plan ordering_plan("ordering");
-  exec::StageHints ordering_hints;
-  ordering_hints.task_factory = ordering_cfg.task_factory;
-  ordering_hints.task_payload = ordering_cfg.task_payload;
-  ordering_plan
-      .FlatMap("tokenize", ordering_cfg.mapper_factory)
-      .GroupByKey("ordering", ordering_cfg.reducer_factory,
-                  ordering_cfg.partitioner, ordering_cfg.combiner_factory,
-                  std::move(ordering_hints));
-  FSJOIN_ASSIGN_OR_RETURN(mr::Dataset freq_out,
-                          backend->Execute(ordering_plan, input));
-  FSJOIN_ASSIGN_OR_RETURN(
-      GlobalOrder order,
-      BuildGlobalOrderFromJobOutput(freq_out, corpus.dictionary.size()));
+  FSJOIN_ASSIGN_OR_RETURN(GlobalOrder order,
+                          RunOrderingPlan(backend.get(), "ordering", input,
+                                          corpus.dictionary.size()));
   auto shared_order = std::make_shared<const GlobalOrder>(std::move(order));
 
   // --- Pivot selection (driver-side, like the paper's setup() phase) ----
@@ -217,10 +204,9 @@ Result<FsJoinOutput> FsJoin::Run(const Corpus& corpus) const {
   join_plan
       .FlatMap("vertical-split", filtering_cfg.mapper_factory)
       .GroupByKey("filtering", filtering_cfg.reducer_factory,
-                  filtering_cfg.partitioner, nullptr,
-                  std::move(filtering_hints))
+                  filtering_cfg.partitioner, std::move(filtering_hints))
       .GroupByKey("verification", verification_cfg.reducer_factory, nullptr,
-                  nullptr, std::move(verification_hints));
+                  std::move(verification_hints));
   FSJOIN_ASSIGN_OR_RETURN(mr::Dataset results_out,
                           backend->Execute(join_plan, input));
   FSJOIN_ASSIGN_OR_RETURN(output.pairs, DecodeJoinResults(results_out));

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/segments.h"
+#include "exec/backend.h"
 #include "mr/task.h"
 #include "util/serde.h"
 
@@ -15,39 +16,130 @@ namespace {
 
 // ---- Ordering job ------------------------------------------------------
 
+/// Appends one (gap, count) pair of a packed ordering-block value, where
+/// gap = offset - prev - 1. `prev` is the previous offset appended to this
+/// value, or -1 before the first pair.
+void PutBlockCount(std::string* value, int64_t* prev, uint32_t offset,
+                   uint64_t count) {
+  PutVarint32(value, static_cast<uint32_t>(offset - *prev - 1));
+  PutVarint64(value, count);
+  *prev = offset;
+}
+
+/// Decodes a packed ordering-block value, calling fn(offset, count) for
+/// each pair. Offsets strictly ascend and stay below the block width, so a
+/// token can appear at most once per value; anything else is Corruption.
+template <typename Fn>
+Status ForEachBlockCount(std::string_view value, Fn&& fn) {
+  Decoder dec(value);
+  uint64_t next = 0;  // smallest offset the next pair may carry
+  while (!dec.done()) {
+    uint32_t gap = 0;
+    uint64_t count = 0;
+    if (!dec.GetVarint32(&gap).ok() || !dec.GetVarint64(&count).ok()) {
+      return Status::Corruption("ordering block: truncated count pair");
+    }
+    const uint64_t offset = next + gap;
+    if (offset >= kOrderingBlockWidth) {
+      return Status::Corruption("ordering block: offset " +
+                                std::to_string(offset) +
+                                " outside the block width");
+    }
+    FSJOIN_RETURN_NOT_OK(fn(static_cast<uint32_t>(offset), count));
+    next = offset + 1;
+  }
+  return Status::OK();
+}
+
+/// Parses a 4-byte big-endian ordering-block key.
+Status DecodeBlockKey(std::string_view key, uint32_t* block) {
+  Decoder dec(key);
+  if (!dec.GetFixed32BE(block).ok() || !dec.done()) {
+    return Status::Corruption("ordering block: key is not 4 bytes");
+  }
+  return Status::OK();
+}
+
+/// In-mapper combining: collects every token of the split, then emits one
+/// packed record per token block in Finish — sort plus run-length, so the
+/// cost follows the split's size, not the vocabulary's.
 class OrderingMapper : public mr::Mapper {
  public:
-  Status Map(const mr::KeyValue& record, mr::Emitter* out) override {
+  Status Map(const mr::KeyValue& record, mr::Emitter* /*out*/) override {
     RecordId rid = 0;
-    std::vector<TokenId> tokens;
-    FSJOIN_RETURN_NOT_OK(DecodeCorpusRecord(record, &rid, &tokens));
-    std::string one;
-    PutVarint64(&one, 1);
-    for (TokenId t : tokens) {
-      std::string key;
-      PutFixed32BE(&key, t);
-      out->Emit(std::move(key), one);
-    }
+    FSJOIN_RETURN_NOT_OK(DecodeCorpusRecord(record, &rid, &record_tokens_));
+    tokens_.insert(tokens_.end(), record_tokens_.begin(),
+                   record_tokens_.end());
     return Status::OK();
   }
+
+  Status Finish(mr::Emitter* out) override {
+    std::sort(tokens_.begin(), tokens_.end());
+    std::string key, value;
+    uint32_t block = 0;
+    int64_t prev = -1;
+    auto flush = [&] {
+      if (value.empty()) return;
+      key.clear();
+      PutFixed32BE(&key, block);
+      out->Emit(key, value);
+      value.clear();
+      prev = -1;
+    };
+    for (size_t i = 0; i < tokens_.size();) {
+      const TokenId t = tokens_[i];
+      size_t j = i + 1;
+      while (j < tokens_.size() && tokens_[j] == t) ++j;
+      if (t / kOrderingBlockWidth != block) {
+        flush();
+        block = t / kOrderingBlockWidth;
+      }
+      PutBlockCount(&value, &prev, t % kOrderingBlockWidth, j - i);
+      i = j;
+    }
+    flush();
+    return Status::OK();
+  }
+
+ private:
+  std::vector<TokenId> tokens_;         ///< every token of the split
+  std::vector<TokenId> record_tokens_;  ///< decode scratch
 };
 
-class SumReducer : public mr::Reducer {
+/// Sums one block's packed counts from every map task into a dense array
+/// and emits them as one packed record.
+class OrderingReducer : public mr::Reducer {
  public:
+  OrderingReducer() : counts_(kOrderingBlockWidth, 0) {}
+
   Status Reduce(std::string_view key, mr::ValueList values,
                 mr::Emitter* out) override {
-    uint64_t total = 0;
+    uint32_t block = 0;
+    FSJOIN_RETURN_NOT_OK(DecodeBlockKey(key, &block));
     for (std::string_view v : values) {
-      Decoder dec(v);
-      uint64_t x = 0;
-      FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&x));
-      total += x;
+      FSJOIN_RETURN_NOT_OK(
+          ForEachBlockCount(v, [this](uint32_t offset, uint64_t count) {
+            uint64_t& total = counts_[offset];
+            if (count > std::numeric_limits<uint64_t>::max() - total) {
+              return Status::Corruption("ordering block: count overflow");
+            }
+            total += count;
+            return Status::OK();
+          }));
     }
     std::string value;
-    PutVarint64(&value, total);
+    int64_t prev = -1;
+    for (uint32_t offset = 0; offset < kOrderingBlockWidth; ++offset) {
+      if (counts_[offset] == 0) continue;
+      PutBlockCount(&value, &prev, offset, counts_[offset]);
+      counts_[offset] = 0;
+    }
     out->Emit(key, value);
     return Status::OK();
   }
+
+ private:
+  std::vector<uint64_t> counts_;  ///< zero between Reduce calls
 };
 
 // ---- Filtering job -----------------------------------------------------
@@ -326,8 +418,10 @@ class VerificationReducer : public mr::Reducer {
         [](const std::string&) -> Result<mr::TaskFactories> {
           mr::TaskFactories factories;
           factories.mapper = [] { return std::make_unique<OrderingMapper>(); };
-          factories.reducer = [] { return std::make_unique<SumReducer>(); };
-          factories.combiner = [] { return std::make_unique<SumReducer>(); };
+          factories.reducer = [] {
+            return std::make_unique<OrderingReducer>();
+          };
+          factories.partitioner = std::make_shared<mr::PrefixIdPartitioner>();
           return factories;
         });
 
@@ -746,8 +840,9 @@ mr::JobConfig MakeOrderingJobConfig(uint32_t num_map_tasks,
   config.num_map_tasks = num_map_tasks;
   config.num_reduce_tasks = num_reduce_tasks;
   config.mapper_factory = [] { return std::make_unique<OrderingMapper>(); };
-  config.reducer_factory = [] { return std::make_unique<SumReducer>(); };
-  config.combiner_factory = [] { return std::make_unique<SumReducer>(); };
+  config.reducer_factory = [] { return std::make_unique<OrderingReducer>(); };
+  // Block b goes to reducer b % R.
+  config.partitioner = std::make_shared<mr::PrefixIdPartitioner>();
   // Stateless operators: tasks of this job can run via binary re-exec.
   config.task_factory = "core.ordering";
   return config;
@@ -756,19 +851,53 @@ mr::JobConfig MakeOrderingJobConfig(uint32_t num_map_tasks,
 Result<GlobalOrder> BuildGlobalOrderFromJobOutput(const mr::Dataset& output,
                                                   size_t vocab_size) {
   std::vector<uint64_t> frequency(vocab_size, 0);
+  const uint64_t num_blocks =
+      (uint64_t{vocab_size} + kOrderingBlockWidth - 1) / kOrderingBlockWidth;
+  std::vector<bool> block_seen(num_blocks, false);
   for (const mr::KeyValue& kv : output) {
-    Decoder key_dec(kv.key);
-    uint32_t token = 0;
-    FSJOIN_RETURN_NOT_OK(key_dec.GetFixed32BE(&token));
-    if (token >= vocab_size) {
-      return Status::Internal("ordering output token outside vocabulary");
+    uint32_t block = 0;
+    FSJOIN_RETURN_NOT_OK(DecodeBlockKey(kv.key, &block));
+    if (block >= num_blocks) {
+      return Status::Corruption("ordering output: token block " +
+                                std::to_string(block) +
+                                " outside the vocabulary");
     }
-    Decoder value_dec(kv.value);
-    uint64_t count = 0;
-    FSJOIN_RETURN_NOT_OK(value_dec.GetVarint64(&count));
-    frequency[token] = count;
+    if (block_seen[block]) {
+      // Offsets ascend within a record, so a token can repeat only through
+      // a second record of its block.
+      return Status::Corruption("ordering output: token block " +
+                                std::to_string(block) + " seen twice");
+    }
+    block_seen[block] = true;
+    const uint64_t base = uint64_t{block} * kOrderingBlockWidth;
+    FSJOIN_RETURN_NOT_OK(ForEachBlockCount(
+        kv.value, [&](uint32_t offset, uint64_t count) -> Status {
+          const uint64_t token = base + offset;
+          if (token >= vocab_size) {
+            return Status::Corruption("ordering output: token " +
+                                      std::to_string(token) +
+                                      " outside the vocabulary");
+          }
+          frequency[token] = count;
+          return Status::OK();
+        }));
   }
   return GlobalOrder::FromFrequencies(std::move(frequency));
+}
+
+Result<GlobalOrder> RunOrderingPlan(exec::ExecutionBackend* backend,
+                                    std::string plan_name,
+                                    const mr::Dataset& input,
+                                    size_t vocab_size) {
+  const mr::JobConfig job = MakeOrderingJobConfig(1, 1);
+  exec::StageHints hints;
+  hints.task_factory = job.task_factory;
+  exec::Plan plan(std::move(plan_name));
+  plan.FlatMap("tokenize", job.mapper_factory)
+      .GroupByKey("ordering", job.reducer_factory, job.partitioner,
+                  std::move(hints));
+  FSJOIN_ASSIGN_OR_RETURN(mr::Dataset output, backend->Execute(plan, input));
+  return BuildGlobalOrderFromJobOutput(output, vocab_size);
 }
 
 uint32_t FragmentPartitioner::Partition(std::string_view key,
@@ -808,10 +937,6 @@ mr::JobConfig MakeVerificationJobConfig(
   config.num_map_tasks = context->config.exec.num_map_tasks;
   config.num_reduce_tasks = context->config.exec.num_reduce_tasks;
   config.mapper_factory = [] { return std::make_unique<IdentityMapper>(); };
-  // No combiner: a pair's partial overlaps come from different fragments
-  // (different filtering reducers), so map-side splits of the partials
-  // dataset almost never hold two records of the same pair — a combiner
-  // would only add sort cost.
   config.reducer_factory = [context] {
     return std::make_unique<VerificationReducer>(context);
   };

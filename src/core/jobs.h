@@ -22,6 +22,10 @@
 
 namespace fsjoin {
 
+namespace exec {
+class ExecutionBackend;
+}  // namespace exec
+
 /// ---- Corpus <-> MR dataset ------------------------------------------
 /// Input records: key = Fixed32BE(rid), value = varint-coded token vector.
 
@@ -33,17 +37,38 @@ Status DecodeCorpusRecord(const mr::KeyValue& kv, RecordId* rid,
                           std::vector<TokenId>* tokens);
 
 /// ---- Job 1: ordering (token frequency) -------------------------------
-/// map:    (rid, tokens)  -> (token, 1) per distinct token
-/// combine/reduce: sum counts -> (token, frequency)
+/// Token t lives in block t / kOrderingBlockWidth at offset
+/// t % kOrderingBlockWidth. Map and reduce records share one layout:
+///   key:   Fixed32BE(block)
+///   value: (varint gap, varint count) pairs in ascending offset order,
+///          where gap = offset - previous offset - 1 (the first pair's
+///          previous offset counts as -1).
+/// map:    count the split's tokens locally (in-mapper combining), emit
+///         one record per block in Finish;
+/// reduce: sum a block's records, emit one record per block.
+/// Partitioner: block b goes to reducer b % R.
 
-/// Mapper/combiner/reducer factories for the ordering job.
+/// Tokens per ordering block (a fixed part of the record layout).
+inline constexpr uint32_t kOrderingBlockWidth = 4096;
+
+/// Mapper/reducer/partitioner of the ordering job.
 mr::JobConfig MakeOrderingJobConfig(uint32_t num_map_tasks,
                                     uint32_t num_reduce_tasks);
 
 /// Builds the global ordering from the ordering job's output. `vocab_size`
-/// is the dictionary size (tokens with no output record get frequency 0).
+/// is the dictionary size (tokens with no count get frequency 0). A token
+/// at or past `vocab_size`, an offset at or past the block width, a token
+/// seen twice and truncated bytes are Corruption.
 Result<GlobalOrder> BuildGlobalOrderFromJobOutput(const mr::Dataset& output,
                                                   size_t vocab_size);
+
+/// Runs the ordering job on `backend` as plan `plan_name` (one FlatMap
+/// "tokenize", one wide stage "ordering"; task counts come from the
+/// backend's ExecConfig) and builds the global ordering from its output.
+Result<GlobalOrder> RunOrderingPlan(exec::ExecutionBackend* backend,
+                                    std::string plan_name,
+                                    const mr::Dataset& input,
+                                    size_t vocab_size);
 
 /// ---- Job 2: filtering (vertical partition + fragment join) ----------
 /// map:    (rid, tokens) -> ((h, v), segment) per horizontal group h and

@@ -125,7 +125,6 @@ mr::JobMetrics SynthesizeJobMetrics(
   m.map_input_bytes = ws.input_bytes;
   m.map_output_records = ws.shuffle_records;
   m.map_output_bytes = ws.shuffle_bytes;
-  m.combine_input_records = ws.combine_input_records;
   m.shuffle_records = ws.shuffle_records;
   m.shuffle_bytes = ws.shuffle_bytes;
   m.spilled_bytes = ws.spilled_bytes;
@@ -249,7 +248,6 @@ Result<mr::Dataset> MapReduceBackend::Execute(const Plan& plan,
         job.num_reduce_tasks = config_.num_reduce_tasks;
         job.mapper_factory = ComposeMappers(std::move(pending));
         job.reducer_factory = stage.reducer;
-        job.combiner_factory = stage.combiner;
         job.partitioner = stage.partitioner;
         job.side = stage.side;
         job.task_factory = stage.task_factory;
@@ -330,7 +328,7 @@ Result<mr::Dataset> FusedFlowBackend::Execute(const Plan& plan,
         pipeline.FlatMap(stage.name, stage.mapper);
       } else {
         pipeline.GroupByKey(stage.name, stage.reducer, stage.partitioner,
-                            stage.combiner, stage.side);
+                            stage.side);
       }
     }
     FSJOIN_ASSIGN_OR_RETURN(current, pipeline.Run(current));

@@ -59,6 +59,17 @@ Status ExecConfig::Validate() const {
   if (num_map_tasks == 0 || num_reduce_tasks == 0) {
     return Status::InvalidArgument("task counts must be >= 1");
   }
+  if (num_threads > kMaxThreadsOrProcesses) {
+    return Status::InvalidArgument(
+        "num_threads " + std::to_string(num_threads) + " is above the cap of " +
+        std::to_string(kMaxThreadsOrProcesses));
+  }
+  if (spawn_local_workers > 0 &&
+      static_cast<uint64_t>(spawn_local_workers) > kMaxThreadsOrProcesses) {
+    return Status::InvalidArgument(
+        "spawn_local_workers " + std::to_string(spawn_local_workers) +
+        " is above the cap of " + std::to_string(kMaxThreadsOrProcesses));
+  }
   if (parallel_fragment_join && join_morsel_size == 0) {
     return Status::InvalidArgument(
         "join_morsel_size must be >= 1 when parallel_fragment_join is set");

@@ -42,6 +42,10 @@ Result<KernelMode> KernelModeFromName(std::string_view name);
 /// What kAuto means on this build + machine (kSimd or kPacked).
 KernelMode ResolveKernelMode(KernelMode mode);
 
+/// Ceiling on num_threads and spawn_local_workers: Validate rejects larger
+/// values before any thread or process is started for them.
+inline constexpr uint64_t kMaxThreadsOrProcesses = 1024;
+
 /// Engine-shape knobs shared by every algorithm in the repo (FS-Join and
 /// the three baselines). Previously duplicated across FsJoinConfig and
 /// BaselineConfig; consolidated here so a driver describes *what* to run

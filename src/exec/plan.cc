@@ -15,12 +15,11 @@ Plan& Plan::FlatMap(std::string stage_name, mr::MapperFactory factory) {
 
 Plan& Plan::GroupByKey(std::string stage_name, mr::ReducerFactory factory,
                        std::shared_ptr<const mr::Partitioner> partitioner,
-                       mr::ReducerFactory combiner, StageHints hints) {
+                       StageHints hints) {
   Stage stage;
   stage.kind = Stage::Kind::kGroupByKey;
   stage.name = std::move(stage_name);
   stage.reducer = std::move(factory);
-  stage.combiner = std::move(combiner);
   stage.partitioner = std::move(partitioner);
   stage.side = std::move(hints.side);
   stage.task_factory = std::move(hints.task_factory);

@@ -29,9 +29,6 @@ struct Stage {
 
   mr::MapperFactory mapper;    ///< kFlatMap
   mr::ReducerFactory reducer;  ///< kGroupByKey
-  /// Optional map-side combiner for kGroupByKey (Hadoop: per map task;
-  /// fused backend: per shuffle bucket before shipping).
-  mr::ReducerFactory combiner;
   /// Key router for kGroupByKey; HashPartitioner when null.
   std::shared_ptr<const mr::Partitioner> partitioner;
   /// kUnion: records appended to the stream (shared because drivers reuse
@@ -76,7 +73,6 @@ class Plan {
   /// name, so reports and regression-pinned metrics key off it.
   Plan& GroupByKey(std::string stage_name, mr::ReducerFactory factory,
                    std::shared_ptr<const mr::Partitioner> partitioner = nullptr,
-                   mr::ReducerFactory combiner = nullptr,
                    StageHints hints = {});
 
   /// Appends a union point: `dataset`'s records join the stream here (the

@@ -70,12 +70,11 @@ Pipeline& Pipeline::SetRunner(mr::TaskRunner* runner, int task_retries) {
 Pipeline& Pipeline::GroupByKey(
     std::string stage_name, mr::ReducerFactory factory,
     std::shared_ptr<const mr::Partitioner> partitioner,
-    mr::ReducerFactory combiner, mr::TaskSideChannel side) {
+    mr::TaskSideChannel side) {
   Stage stage;
   stage.wide = true;
   stage.name = std::move(stage_name);
   stage.reducer = std::move(factory);
-  stage.combiner = std::move(combiner);
   stage.partitioner = partitioner != nullptr
                           ? std::move(partitioner)
                           : std::make_shared<mr::HashPartitioner>();
@@ -83,44 +82,6 @@ Pipeline& Pipeline::GroupByKey(
   stages_.push_back(std::move(stage));
   return *this;
 }
-
-namespace {
-
-/// Runs `combiner_factory` over one shuffle bucket in place: sort, group,
-/// combine — Spark's map-side combine, applied before the bucket ships.
-Status CombineBucket(const mr::ReducerFactory& combiner_factory,
-                     mr::Dataset* bucket) {
-  if (bucket->empty()) return Status::OK();
-  mr::SortDatasetByKey(bucket);
-  mr::Dataset combined;
-  CallbackEmitter emitter([&combined](mr::KeyValue kv) -> Status {
-    combined.push_back(std::move(kv));
-    return Status::OK();
-  });
-  std::unique_ptr<mr::Reducer> combiner = combiner_factory();
-  Status st = combiner->Setup();
-  std::vector<std::string_view> values;
-  size_t i = 0;
-  while (st.ok() && i < bucket->size()) {
-    size_t j = i;
-    values.clear();
-    while (j < bucket->size() && (*bucket)[j].key == (*bucket)[i].key) {
-      values.push_back((*bucket)[j].value);
-      ++j;
-    }
-    st = combiner->Reduce((*bucket)[i].key,
-                          mr::ValueList(values.data(), values.size()),
-                          &emitter);
-    i = j;
-  }
-  if (st.ok()) st = combiner->Finish(&emitter);
-  if (st.ok()) st = emitter.status();
-  FSJOIN_RETURN_NOT_OK(st);
-  *bucket = std::move(combined);
-  return Status::OK();
-}
-
-}  // namespace
 
 Result<mr::Dataset> Pipeline::Run(const mr::Dataset& input) {
   WallTimer timer;
@@ -184,7 +145,6 @@ Result<mr::Dataset> Pipeline::Run(const mr::Dataset& input) {
     // the wide stage's partitioner), landed from each map task's output.
     const uint32_t num_buckets = has_wide ? num_partitions_ : 1;
     std::vector<std::vector<mr::Dataset>> shuffled(num_partitions_);
-    std::vector<uint64_t> combine_counts(num_partitions_, 0);
 
     // Spill bookkeeping for this stage: slot[src][dst] records the run file
     // a (src,dst) bucket was written to (empty path = still in memory), and
@@ -294,14 +254,6 @@ Result<mr::Dataset> Pipeline::Run(const mr::Dataset& input) {
           if (st.ok()) st = emitter.status();
         }
       }
-      if (st.ok() && has_wide && stages_[chain_end].combiner) {
-        // Map-side combine: shrink each outgoing bucket before it ships.
-        for (mr::Dataset& bucket : sinks) {
-          out->combine_input_records += bucket.size();
-          st = CombineBucket(stages_[chain_end].combiner, &bucket);
-          if (!st.ok()) break;
-        }
-      }
       return st;
     };
     FSJOIN_RETURN_NOT_OK(scheduler.RunStage(
@@ -314,7 +266,6 @@ Result<mr::Dataset> Pipeline::Run(const mr::Dataset& input) {
                 std::to_string(out.buckets.size()) + " buckets, expected " +
                 std::to_string(num_buckets));
           }
-          combine_counts[p] = out.combine_input_records;
           shuffled[p] = std::move(out.buckets);
           if (!spilling) return Status::OK();
           // Charge each landed bucket; an over-budget charge sends that
@@ -354,9 +305,6 @@ Result<mr::Dataset> Pipeline::Run(const mr::Dataset& input) {
     std::vector<mr::Dataset> next(num_partitions_);
     if (has_wide) {
       ++metrics_.num_shuffles;
-      for (uint64_t c : combine_counts) {
-        stage_metrics.combine_input_records += c;
-      }
       // A destination with any spilled source reduces by streaming a merge
       // of its per-source pieces instead of concatenating them.
       std::vector<bool> merged_dst(num_partitions_, false);

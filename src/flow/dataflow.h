@@ -49,16 +49,14 @@ class Pipeline {
   Pipeline& FlatMap(std::string stage_name, mr::MapperFactory factory);
 
   /// Appends a wide stage: hash-shuffle by key (default HashPartitioner),
-  /// sort-group within each partition, apply the reducer. The optional
-  /// combiner runs on each shuffle bucket before it ships (Spark's
-  /// map-side combine) and must be result-compatible with the reducer.
-  /// `side` is the stage's fork-boundary side channel (mr/job.h): when the
-  /// pipeline runs on an isolated runner, reducer mutations of shared
-  /// driver context cross back via reset/capture/merge.
+  /// sort-group within each partition, apply the reducer. `side` is the
+  /// stage's fork-boundary side channel (mr/job.h): when the pipeline runs
+  /// on an isolated runner, reducer mutations of shared driver context
+  /// cross back via reset/capture/merge.
   Pipeline& GroupByKey(
       std::string stage_name, mr::ReducerFactory factory,
       std::shared_ptr<const mr::Partitioner> partitioner = nullptr,
-      mr::ReducerFactory combiner = nullptr, mr::TaskSideChannel side = {});
+      mr::TaskSideChannel side = {});
 
   /// Routes every pass's tasks through `runner` (not owned, must outlive
   /// the pipeline) with `task_retries` re-executions per failed task when
@@ -93,8 +91,7 @@ class Pipeline {
     std::string name;
     uint64_t input_records = 0;  ///< records entering the fused chain
     uint64_t input_bytes = 0;
-    uint64_t combine_input_records = 0;  ///< 0 when no combiner configured
-    uint64_t shuffle_records = 0;        ///< post-combine, pre-shuffle
+    uint64_t shuffle_records = 0;
     uint64_t shuffle_bytes = 0;
     uint64_t spilled_bytes = 0;  ///< bucket bytes written to run files
     uint32_t spill_runs = 0;     ///< run files written for this stage
@@ -127,7 +124,6 @@ class Pipeline {
     std::string name;
     mr::MapperFactory mapper;
     mr::ReducerFactory reducer;
-    mr::ReducerFactory combiner;
     std::shared_ptr<const mr::Partitioner> partitioner;
     mr::TaskSideChannel side;
   };

@@ -136,8 +136,7 @@ Status Engine::Run(const JobConfig& config, const Dataset& input,
   // In-process bodies mutate the job's shared context directly, so they
   // need no capture hook.
   const TaskFactories factories{config.mapper_factory, config.reducer_factory,
-                                config.combiner_factory, partitioner,
-                                /*capture=*/nullptr};
+                                partitioner, /*capture=*/nullptr};
 
   const uint32_t num_maps = std::min<uint32_t>(
       config.num_map_tasks,
@@ -252,7 +251,6 @@ Status Engine::Run(const JobConfig& config, const Dataset& input,
     jm.map_output_records += out.metrics.output_records;
     jm.map_output_bytes += out.metrics.output_bytes;
     jm.map_wall_micros += out.metrics.wall_micros;
-    jm.combine_input_records += out.combine_input_records;
     jm.map_tasks.push_back(out.metrics);
     return Status::OK();
   };

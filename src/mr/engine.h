@@ -55,7 +55,7 @@ struct EngineOptions {
 };
 
 /// In-process MapReduce engine. Substitutes for the paper's Hadoop cluster:
-/// the execution semantics (record-at-a-time map, optional combiner,
+/// the execution semantics (record-at-a-time map,
 /// hash-partitioned sort-merge shuffle, grouped reduce) match Hadoop's, and
 /// every phase is instrumented so algorithmic costs (duplicates, shuffle
 /// bytes, reducer skew) are measured exactly. Cluster-size effects are

@@ -29,7 +29,7 @@ uint64_t DatasetBytes(const Dataset& dataset);
 
 /// Append-only arena of key/value records: one contiguous byte buffer plus
 /// a (offset, key_len, val_len) entry vector. Emitting a record appends its
-/// bytes once; everything downstream (combiner sort, shuffle, grouped
+/// bytes once; everything downstream (shuffle sort, grouped
 /// reduce) works on string_views into the arena, so a record is never
 /// re-copied between map emit and the reducer seeing it. Moving a KvBuffer
 /// moves two pointers — the shuffle ships arenas, not records.

@@ -63,7 +63,6 @@ JobMetrics CombineJobMetrics(const std::vector<JobMetrics>& jobs,
     out.map_input_bytes += j.map_input_bytes;
     out.map_output_records += j.map_output_records;
     out.map_output_bytes += j.map_output_bytes;
-    out.combine_input_records += j.combine_input_records;
     out.shuffle_records += j.shuffle_records;
     out.shuffle_bytes += j.shuffle_bytes;
     out.spilled_bytes += j.spilled_bytes;

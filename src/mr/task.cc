@@ -43,42 +43,6 @@ class PartitionedEmitter : public Emitter {
   uint64_t bytes_ = 0;
 };
 
-/// Emitter appending to a single arena (combiner output).
-class BufferEmitter : public Emitter {
- public:
-  explicit BufferEmitter(KvBuffer* out) : out_(out) {}
-
-  void Emit(std::string_view key, std::string_view value) override {
-    records_ += 1;
-    bytes_ += key.size() + value.size();
-    out_->Append(key, value);
-  }
-
-  uint64_t records() const { return records_; }
-  uint64_t bytes() const { return bytes_; }
-
- private:
-  KvBuffer* out_;
-  uint64_t records_ = 0;
-  uint64_t bytes_ = 0;
-};
-
-/// Sorts and combines one map-task partition buffer in place.
-Status CombineBuffer(const ReducerFactory& combiner_factory, KvBuffer* buffer,
-                     uint64_t* out_records, uint64_t* out_bytes) {
-  ShuffleShard shard;
-  FSJOIN_RETURN_NOT_OK(shard.AddBuffer(std::move(*buffer)));
-  shard.SortByKey();
-  KvBuffer combined;
-  BufferEmitter out(&combined);
-  std::unique_ptr<Reducer> combiner = combiner_factory();
-  FSJOIN_RETURN_NOT_OK(ReduceShard(combiner.get(), shard, &out));
-  *out_records += out.records();
-  *out_bytes += out.bytes();
-  *buffer = std::move(combined);
-  return Status::OK();
-}
-
 struct Registry {
   std::mutex mu;
   std::map<std::string, TaskFactoryFn> factories;
@@ -257,22 +221,6 @@ Status ExecuteMapTask(const TaskSpec& spec, const TaskFactories& factories,
     st = mapper->Map(input[i], &emitter);
   }
   if (st.ok()) st = mapper->Finish(&emitter);
-
-  uint64_t out_records = emitter.records();
-  uint64_t out_bytes = emitter.bytes();
-
-  // Optional combiner: applied per partition buffer, like Hadoop's
-  // spill-time combine.
-  if (st.ok() && factories.combiner) {
-    out->combine_input_records = out_records;
-    out_records = 0;
-    out_bytes = 0;
-    for (KvBuffer& buffer : emitter.buffers()) {
-      st = CombineBuffer(factories.combiner, &buffer, &out_records,
-                         &out_bytes);
-      if (!st.ok()) break;
-    }
-  }
   FSJOIN_RETURN_NOT_OK(st);
 
   out->partitions = std::move(emitter.buffers());
@@ -280,8 +228,8 @@ Status ExecuteMapTask(const TaskSpec& spec, const TaskFactories& factories,
   tm.wall_micros = timer.ElapsedMicros();
   tm.input_records = count;
   tm.input_bytes = in_bytes;
-  tm.output_records = out_records;
-  tm.output_bytes = out_bytes;
+  tm.output_records = emitter.records();
+  tm.output_bytes = emitter.bytes();
   return Status::OK();
 }
 
@@ -358,7 +306,6 @@ Status WriteTaskOutputFiles(const std::string& base, const TaskOutput& out) {
   // shape, per-group counts, metrics and side-channel bytes — integrity-
   // checked by the run file's own frame CRC + footer.
   EncodeMetrics(out.metrics, &result);
-  PutVarint64(&result, out.combine_input_records);
   PutLengthPrefixed(&result, out.side_state);
   store::RunWriter res(base + ".res");
   FSJOIN_RETURN_NOT_OK(res.Open());
@@ -396,7 +343,6 @@ Status ReadTaskOutputFiles(const std::string& base, TaskOutput* out) {
   std::vector<uint64_t> counts(num_groups, 0);
   for (uint64_t& c : counts) FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&c));
   FSJOIN_RETURN_NOT_OK(DecodeMetrics(&dec, &out->metrics));
-  FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&out->combine_input_records));
   std::string_view side;
   FSJOIN_RETURN_NOT_OK(dec.GetLengthPrefixed(&side));
   out->side_state = std::string(side);
@@ -474,7 +420,6 @@ void EncodeTaskOutputWire(const TaskOutput& out, std::string* dst) {
     PutVarint64(dst, out.records.size());
   }
   EncodeMetrics(out.metrics, dst);
-  PutVarint64(dst, out.combine_input_records);
   PutLengthPrefixed(dst, out.side_state);
   PutVarint32(dst, static_cast<uint32_t>(out.partition_stats.size()));
   for (const PartitionStat& stat : out.partition_stats) {
@@ -512,7 +457,6 @@ Status DecodeTaskOutputWire(std::string_view data, TaskOutput* out) {
   std::vector<uint64_t> counts(num_groups, 0);
   for (uint64_t& c : counts) FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&c));
   FSJOIN_RETURN_NOT_OK(DecodeMetrics(&dec, &out->metrics));
-  FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&out->combine_input_records));
   std::string_view view;
   FSJOIN_RETURN_NOT_OK(dec.GetLengthPrefixed(&view));
   out->side_state = std::string(view);

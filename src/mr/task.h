@@ -107,8 +107,6 @@ struct TaskOutput {
   std::vector<Dataset> buckets;
   Dataset records;
   TaskMetrics metrics;
-  /// Map tasks with a combiner: records fed into the combiner.
-  uint64_t combine_input_records = 0;
   /// Captured side-state bytes — TaskSideChannel::capture in a forked
   /// child, TaskFactories::capture in a worker process; merged into the
   /// parent's shared context exactly once by the scheduler.
@@ -132,7 +130,6 @@ using TaskBody = std::function<Status(const TaskSpec&, TaskOutput*)>;
 struct TaskFactories {
   MapperFactory mapper;
   ReducerFactory reducer;
-  ReducerFactory combiner;  ///< may be null
   std::shared_ptr<const Partitioner> partitioner;  ///< null = HashPartitioner
   /// Optional: serializes the side state the task's operators accumulated
   /// in the factory's own context — the same bytes the job's
@@ -157,9 +154,9 @@ Result<TaskFactories> ResolveTaskFactory(const std::string& name,
                                          const std::string& payload);
 
 /// Runs one map task over `input[0..count)`: Setup, record-at-a-time Map,
-/// Finish, optional per-partition combine — exactly the seed engine's map
-/// task — leaving per-reduce-partition arenas in out->partitions and the
-/// task counters in out->metrics.
+/// Finish — exactly the seed engine's map task — leaving
+/// per-reduce-partition arenas in out->partitions and the task counters in
+/// out->metrics.
 Status ExecuteMapTask(const TaskSpec& spec, const TaskFactories& factories,
                       const KeyValue* input, size_t count, TaskOutput* out);
 

@@ -23,6 +23,7 @@
 #include "util/timer.h"
 
 #ifndef _WIN32
+#include <malloc.h>
 #include <unistd.h>
 #endif
 
@@ -496,6 +497,13 @@ Status ServeWorker(const WorkerServeOptions& options) {
     return Status::InvalidArgument(
         "worker needs exactly one of connect/listen");
   }
+#ifdef M_ARENA_MAX
+  // Every shuffle fetch runs on its own thread, and glibc would give each
+  // new thread its own malloc arena, whose freed chunk buffers stay
+  // mapped: a long-lived worker's peak RSS then grows job after job. Cap
+  // the arenas at two before the first thread starts.
+  mallopt(M_ARENA_MAX, 2);
+#endif
   std::string shuffle_host = "127.0.0.1";
   Socket control;
   if (!options.connect.empty()) {

@@ -25,7 +25,8 @@ struct WorkerServeOptions {
 /// loop — heartbeats answered while a dispatched task executes on a second
 /// thread, retained map partitions served to peers over the shuffle port —
 /// until kShutdown or the coordinator's connection closes. See the protocol
-/// walk-through in DESIGN.md §5j.
+/// walk-through in DESIGN.md §5j. Caps the process's glibc malloc arenas at
+/// two (mallopt M_ARENA_MAX), so call it before starting other threads.
 ///
 /// Fault injection: when the FSJOIN_WORKER_FAULT environment variable holds
 /// "job:kind:index:attempt" and a dispatched task matches all four fields,

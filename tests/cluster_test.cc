@@ -42,6 +42,7 @@
 #include "sim/serial_join.h"
 #include "test_util.h"
 #include "util/endpoint.h"
+#include "util/serde.h"
 #include "util/status.h"
 
 namespace fsjoin {
@@ -654,6 +655,141 @@ TEST(ClusterRunnerTest, WorkerThreadsAndStacksStayBoundedWithinAJob) {
     }
     EXPECT_LT(growth_kb, 256 * 1024)
         << "worker " << w << " kept finished threads' stacks (kB growth)";
+  }
+}
+
+// ---- Worker heap across jobs ------------------------------------------
+
+/// Bulk job for the heap test: every input record maps to
+/// kBulkRecordsPerInput records of kBulkValueBytes bytes, so each map task
+/// retains multi-MB partitions that the reduce tasks fetch over the
+/// network; reducers emit one small count per key.
+constexpr uint32_t kBulkRecordsPerInput = 64;
+constexpr size_t kBulkValueBytes = 4096;
+
+class BulkMapper : public mr::Mapper {
+ public:
+  Status Map(const mr::KeyValue& record, mr::Emitter* out) override {
+    const std::string value(kBulkValueBytes, 'v');
+    for (uint32_t i = 0; i < kBulkRecordsPerInput; ++i) {
+      std::string key = record.key;
+      PutFixed32BE(&key, i);
+      out->Emit(key, value);
+    }
+    return Status::OK();
+  }
+};
+
+class CountReducer : public mr::Reducer {
+ public:
+  Status Reduce(std::string_view key, mr::ValueList values,
+                mr::Emitter* out) override {
+    std::string count;
+    PutVarint64(&count, values.size());
+    out->Emit(key, count);
+    return Status::OK();
+  }
+};
+
+// Registered in every process of this binary, spawned workers included.
+[[maybe_unused]] const bool kBulkFactoryRegistered = mr::RegisterTaskFactory(
+    "test.cluster.bulk", [](const std::string&) -> Result<mr::TaskFactories> {
+      mr::TaskFactories factories;
+      factories.mapper = [] { return std::make_unique<BulkMapper>(); };
+      factories.reducer = [] { return std::make_unique<CountReducer>(); };
+      return factories;
+    });
+
+// ASan and TSan replace glibc malloc with their own allocator, which
+// M_ARENA_MAX does not govern and whose quarantine and shadow memory grow
+// with the work done, so a heap bound measured under them says nothing
+// about the arena cap.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizerMalloc = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitizerMalloc = true;
+#else
+constexpr bool kSanitizerMalloc = false;
+#endif
+#else
+constexpr bool kSanitizerMalloc = false;
+#endif
+
+// A worker serves each shuffle fetch on a fresh thread. Without a cap on
+// glibc's malloc arenas, each such thread may get an arena of its own, and
+// the chunk buffers freed there stay mapped, so a long-lived worker's peak
+// RSS climbs job after job. ServeWorker caps the arenas itself, so this
+// test runs with MALLOC_ARENA_MAX unset: eight identical 30 x 30 jobs of
+// about 63 MB of shuffle each (900 fetches) through one 2-worker runner.
+// Without the cap the two workers' summed VmHWM grew by 31-44 MB from the
+// first job to the third and by 78-101 MB to the eighth (three runs); with
+// it, by 7-9 MB and 7-19 MB. Eight jobs leave the wider margin.
+TEST(ClusterRunnerTest, WorkerPeakRssStaysFlatAcrossJobs) {
+  if (kSanitizerMalloc) {
+    GTEST_SKIP() << "sanitizer allocator: glibc malloc arenas not in use";
+  }
+  const char* arena_env = std::getenv("MALLOC_ARENA_MAX");
+  const std::string saved = arena_env != nullptr ? arena_env : "";
+  ::unsetenv("MALLOC_ARENA_MAX");
+  auto runner = SpawnWorkers(2);
+  if (arena_env != nullptr) ::setenv("MALLOC_ARENA_MAX", saved.c_str(), 1);
+  ASSERT_TRUE(runner.ok()) << runner.status().ToString();
+  const std::vector<int64_t> pids = (*runner)->worker_pids();
+
+  mr::Dataset input;
+  for (uint32_t r = 0; r < 240; ++r) {
+    mr::KeyValue kv;
+    PutFixed32BE(&kv.key, r);
+    input.push_back(std::move(kv));
+  }
+  mr::JobConfig job;
+  job.name = "bulk";
+  job.num_map_tasks = 30;
+  job.num_reduce_tasks = 30;
+  job.mapper_factory = [] { return std::make_unique<BulkMapper>(); };
+  job.reducer_factory = [] { return std::make_unique<CountReducer>(); };
+  job.task_factory = "test.cluster.bulk";
+  mr::EngineOptions options;
+  options.runner = RunnerKind::kCluster;
+  options.external_runner = runner->get();
+  mr::Engine engine(options);
+
+  constexpr int kJobs = 8;
+  long first_kb = 0, last_kb = 0;
+  std::string trail;
+  for (int round = 0; round < kJobs; ++round) {
+    mr::Dataset output;
+    mr::JobMetrics metrics;
+    const Status st = engine.Run(job, input, &output, &metrics);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ASSERT_EQ(output.size(), input.size() * kBulkRecordsPerInput);
+    testing::ExpectTransport(metrics, mr::TaskTransport::kRemote);
+    long total_kb = 0;
+    for (int64_t pid : pids) {
+      const long kb = ProcStatusField(pid, "VmHWM:");
+      ASSERT_GT(kb, 0) << "no /proc status for worker " << pid;
+      total_kb += kb;
+    }
+    if (round == 0) first_kb = total_kb;
+    last_kb = total_kb;
+    trail += " " + std::to_string(total_kb);
+  }
+  EXPECT_LT(last_kb - first_kb, 40 * 1024)
+      << "summed worker VmHWM kB per job:" << trail;
+}
+
+// ---- The ordering job on the cluster ----------------------------------
+
+// The block-packed ordering job gives GlobalOrder::FromCorpus's ordering on
+// the cluster runner, on both backends (testing::OrderingCorpora covers
+// the empty corpus, empty records and the block-width edges).
+TEST(ClusterRunnerTest, OrderingPlanMatchesFromCorpus) {
+  for (exec::BackendKind backend :
+       {exec::BackendKind::kMapReduce, exec::BackendKind::kFusedFlow}) {
+    exec::ExecConfig config = SmallExec(backend, RunnerKind::kCluster);
+    config.spawn_local_workers = 2;
+    testing::ExpectOrderingMatchesFromCorpus(config);
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <string>
 
@@ -121,6 +122,27 @@ TEST(ExecConfigTest, ValidateRejectsZeroTaskCounts) {
 }
 
 // ---- Plan validation -----------------------------------------------------
+
+// The caps are checked by Validate alone: no config here ever reaches a
+// backend, so no thread or process is started for an out-of-range value.
+TEST(ExecConfigTest, ValidateCapsThreadsAndSpawnedWorkers) {
+  ExecConfig config;
+  config.num_threads = kMaxThreadsOrProcesses;
+  EXPECT_TRUE(config.Validate().ok());
+  config.num_threads = kMaxThreadsOrProcesses + 1;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+  config.num_threads = 100000000;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+
+  ExecConfig cluster;
+  cluster.runner = mr::RunnerKind::kCluster;
+  cluster.spawn_local_workers = static_cast<int>(kMaxThreadsOrProcesses);
+  EXPECT_TRUE(cluster.Validate().ok());
+  cluster.spawn_local_workers = static_cast<int>(kMaxThreadsOrProcesses) + 1;
+  EXPECT_EQ(cluster.Validate().code(), StatusCode::kInvalidArgument);
+  cluster.spawn_local_workers = std::numeric_limits<int>::max();
+  EXPECT_EQ(cluster.Validate().code(), StatusCode::kInvalidArgument);
+}
 
 TEST(PlanTest, ValidationCatchesMissingOperators) {
   Plan ok_plan("ok");

@@ -18,6 +18,7 @@
 #include "core/jobs.h"
 #include "mr/engine.h"
 #include "mr/task.h"
+#include "runner_parity.h"
 #include "test_util.h"
 #include "text/generator.h"
 #include "util/hash.h"
@@ -72,8 +73,11 @@ TEST(OrderingJobTest, ComputesExactFrequencies) {
   EXPECT_EQ(order->RankOf(t1), 1u);
   EXPECT_EQ(order->RankOf(t2), 2u);
   EXPECT_EQ(order->TotalFrequency(), 6u);
-  // Combiner must have pre-aggregated (shuffle < map emissions).
-  EXPECT_LT(metrics.shuffle_records, 6u);
+  // In-mapper combining: each map task ships one record for the one token
+  // block, and the reducer packs them into one.
+  EXPECT_EQ(metrics.map_output_records, 2u);
+  EXPECT_EQ(metrics.shuffle_records, 2u);
+  EXPECT_EQ(output.size(), 1u);
 }
 
 TEST(OrderingJobTest, RejectsOutOfVocabularyTokens) {
@@ -87,6 +91,91 @@ TEST(OrderingJobTest, RejectsOutOfVocabularyTokens) {
                   .ok());
   // Pretend the vocabulary is smaller than the data claims.
   EXPECT_FALSE(BuildGlobalOrderFromJobOutput(output, 1).ok());
+}
+
+/// One ordering-job output record: block key plus (gap, count) pairs.
+mr::KeyValue BlockRecord(
+    uint32_t block, std::initializer_list<std::pair<uint32_t, uint64_t>> pairs) {
+  mr::KeyValue kv;
+  PutFixed32BE(&kv.key, block);
+  for (const auto& [gap, count] : pairs) {
+    PutVarint32(&kv.value, gap);
+    PutVarint64(&kv.value, count);
+  }
+  return kv;
+}
+
+TEST(OrderingJobTest, BuildGlobalOrderDecodesPackedBlocks) {
+  const size_t vocab = kOrderingBlockWidth + 10;
+  // Block 0: token 0 (gap 0) x3, token 5 (gap 4) x1; block 1: token
+  // 4096 + 9, the last of the vocabulary.
+  Result<GlobalOrder> order = BuildGlobalOrderFromJobOutput(
+      {BlockRecord(1, {{9, 2}}), BlockRecord(0, {{0, 3}, {4, 1}})}, vocab);
+  ASSERT_TRUE(order.ok()) << order.status().ToString();
+  EXPECT_EQ(order->NumTokens(), vocab);
+  EXPECT_EQ(order->TotalFrequency(), 6u);
+  EXPECT_EQ(order->TokenAt(static_cast<TokenRank>(vocab - 1)), 0u);
+  EXPECT_EQ(order->TokenAt(static_cast<TokenRank>(vocab - 2)),
+            kOrderingBlockWidth + 9);
+}
+
+TEST(OrderingJobTest, BuildGlobalOrderRejectsMalformedOutput) {
+  const size_t vocab = kOrderingBlockWidth + 10;
+  auto expect_corruption = [vocab](const mr::Dataset& output,
+                                   const char* what) {
+    Result<GlobalOrder> order = BuildGlobalOrderFromJobOutput(output, vocab);
+    ASSERT_FALSE(order.ok()) << what;
+    EXPECT_EQ(order.status().code(), StatusCode::kCorruption)
+        << what << ": " << order.status().ToString();
+  };
+  // A token at or past the vocabulary, in a known block or past the last.
+  expect_corruption({BlockRecord(1, {{10, 1}})}, "token == vocab");
+  expect_corruption({BlockRecord(2, {{0, 1}})}, "block past vocab");
+  expect_corruption({BlockRecord(0xffffffffu, {})}, "block 2^32-1");
+  // An offset at or past the block width, direct or by accumulated gaps.
+  expect_corruption({BlockRecord(0, {{kOrderingBlockWidth, 1}})},
+                    "offset == width");
+  expect_corruption({BlockRecord(0, {{4000, 1}, {95, 1}})},
+                    "gaps reach width");
+  expect_corruption({BlockRecord(0, {{0xffffffffu, 1}})}, "huge gap");
+  // A token seen twice: its block comes back in two records.
+  expect_corruption({BlockRecord(0, {{1, 1}}), BlockRecord(0, {{2, 1}})},
+                    "block twice");
+  // Truncated bytes.
+  mr::KeyValue short_key = BlockRecord(0, {{1, 1}});
+  short_key.key.pop_back();
+  expect_corruption({short_key}, "3-byte key");
+  mr::KeyValue long_key = BlockRecord(0, {{1, 1}});
+  long_key.key.push_back('x');
+  expect_corruption({long_key}, "5-byte key");
+  mr::KeyValue no_count = BlockRecord(0, {{1, 1}});
+  PutVarint32(&no_count.value, 3);
+  expect_corruption({no_count}, "gap without count");
+  mr::KeyValue cut_varint = BlockRecord(0, {});
+  cut_varint.value = "\x01\x80";
+  expect_corruption({cut_varint}, "count varint cut off");
+}
+
+// Orderings equal GlobalOrder::FromCorpus on every in-process and
+// subprocess runner and both backends (the cluster runner is covered in
+// cluster_test).
+TEST(OrderingJobTest, PlanMatchesFromCorpusOnEveryRunnerAndBackend) {
+  for (exec::BackendKind backend :
+       {exec::BackendKind::kMapReduce, exec::BackendKind::kFusedFlow}) {
+    for (mr::RunnerKind runner :
+         {mr::RunnerKind::kInline, mr::RunnerKind::kThreads,
+          mr::RunnerKind::kSubprocess}) {
+      SCOPED_TRACE(std::string(exec::BackendKindName(backend)) + " " +
+                   mr::RunnerKindName(runner));
+      exec::ExecConfig config;
+      config.backend = backend;
+      config.runner = runner;
+      config.num_map_tasks = 5;
+      config.num_reduce_tasks = 3;
+      config.num_threads = runner == mr::RunnerKind::kThreads ? 4 : 0;
+      testing::ExpectOrderingMatchesFromCorpus(config);
+    }
+  }
 }
 
 TEST(FragmentPartitionerTest, SpreadsFragmentsRoundRobin) {
@@ -347,21 +436,21 @@ TEST(MetricsRegressionTest, CountersMatchSeedEngine) {
   const mr::JobMetrics& ord = out->report.ordering_job;
   EXPECT_EQ(ord.map_input_records, 300u);
   EXPECT_EQ(ord.map_input_bytes, 6677u);
-  EXPECT_EQ(ord.map_output_records, 992u);
-  EXPECT_EQ(ord.map_output_bytes, 4960u);
-  EXPECT_EQ(ord.combine_input_records, 4208u);
-  EXPECT_EQ(ord.shuffle_records, 992u);
-  EXPECT_EQ(ord.shuffle_bytes, 4960u);
-  EXPECT_EQ(ord.reduce_output_records, 375u);
-  EXPECT_EQ(ord.reduce_output_bytes, 1878u);
-  EXPECT_EQ(max_group_bytes(ord), 20u);
+  // One packed record per (map task, token block): the 375-token
+  // vocabulary is one block, so 4 map tasks shuffle 4 records into 1.
+  EXPECT_EQ(ord.map_output_records, 4u);
+  EXPECT_EQ(ord.map_output_bytes, 2000u);
+  EXPECT_EQ(ord.shuffle_records, 4u);
+  EXPECT_EQ(ord.shuffle_bytes, 2000u);
+  EXPECT_EQ(ord.reduce_output_records, 1u);
+  EXPECT_EQ(ord.reduce_output_bytes, 757u);
+  EXPECT_EQ(max_group_bytes(ord), 2000u);
 
   const mr::JobMetrics& fil = out->report.filtering_job;
   EXPECT_EQ(fil.map_input_records, 300u);
   EXPECT_EQ(fil.map_input_bytes, 6677u);
   EXPECT_EQ(fil.map_output_records, 2382u);
   EXPECT_EQ(fil.map_output_bytes, 42332u);
-  EXPECT_EQ(fil.combine_input_records, 0u);
   EXPECT_EQ(fil.shuffle_records, 2382u);
   EXPECT_EQ(fil.shuffle_bytes, 42332u);
   EXPECT_EQ(fil.reduce_output_records, 5628u);

@@ -1,5 +1,5 @@
 // Tests of the MapReduce substrate: execution semantics (record-at-a-time
-// map, combiner, partitioning, sorted grouping), error propagation, metric
+// map, partitioning, sorted grouping), error propagation, metric
 // accounting, the MiniDfs/Pipeline layer and the cluster makespan simulator.
 
 #include <gtest/gtest.h>
@@ -59,16 +59,13 @@ class SumReducer : public Reducer {
   }
 };
 
-JobConfig WordCountConfig(uint32_t maps, uint32_t reduces, bool combiner) {
+JobConfig WordCountConfig(uint32_t maps, uint32_t reduces) {
   JobConfig config;
   config.name = "wordcount";
   config.num_map_tasks = maps;
   config.num_reduce_tasks = reduces;
   config.mapper_factory = [] { return std::make_unique<WordCountMapper>(); };
   config.reducer_factory = [] { return std::make_unique<SumReducer>(); };
-  if (combiner) {
-    config.combiner_factory = [] { return std::make_unique<SumReducer>(); };
-  }
   return config;
 }
 
@@ -93,7 +90,7 @@ TEST(EngineTest, WordCountIsCorrect) {
   Dataset output;
   JobMetrics metrics;
   ASSERT_TRUE(engine
-                  .Run(WordCountConfig(3, 4, /*combiner=*/false), WordsInput(),
+                  .Run(WordCountConfig(3, 4), WordsInput(),
                        &output, &metrics)
                   .ok());
   auto counts = DecodeCounts(output);
@@ -111,7 +108,7 @@ TEST(EngineTest, ResultsIndependentOfTaskCounts) {
       Dataset output;
       JobMetrics metrics;
       ASSERT_TRUE(engine
-                      .Run(WordCountConfig(maps, reduces, false), WordsInput(),
+                      .Run(WordCountConfig(maps, reduces), WordsInput(),
                            &output, &metrics)
                       .ok());
       auto counts = DecodeCounts(output);
@@ -121,32 +118,15 @@ TEST(EngineTest, ResultsIndependentOfTaskCounts) {
   }
 }
 
-TEST(EngineTest, CombinerReducesShuffleButNotResults) {
-  Engine engine(0);
-  Dataset with, without;
-  JobMetrics m_with, m_without;
-  ASSERT_TRUE(engine
-                  .Run(WordCountConfig(2, 3, true), WordsInput(), &with,
-                       &m_with)
-                  .ok());
-  ASSERT_TRUE(engine
-                  .Run(WordCountConfig(2, 3, false), WordsInput(), &without,
-                       &m_without)
-                  .ok());
-  EXPECT_EQ(DecodeCounts(with), DecodeCounts(without));
-  EXPECT_LT(m_with.shuffle_records, m_without.shuffle_records);
-  EXPECT_GT(m_with.combine_input_records, 0u);
-}
-
 TEST(EngineTest, ThreadedMatchesInline) {
   Engine inline_engine(0), threaded(4);
   Dataset a, b;
   JobMetrics ma, mb;
   ASSERT_TRUE(inline_engine
-                  .Run(WordCountConfig(4, 5, true), WordsInput(), &a, &ma)
+                  .Run(WordCountConfig(4, 5), WordsInput(), &a, &ma)
                   .ok());
   ASSERT_TRUE(
-      threaded.Run(WordCountConfig(4, 5, true), WordsInput(), &b, &mb).ok());
+      threaded.Run(WordCountConfig(4, 5), WordsInput(), &b, &mb).ok());
   EXPECT_EQ(DecodeCounts(a), DecodeCounts(b));
 }
 
@@ -183,7 +163,7 @@ TEST(EngineTest, MapErrorAbortsJob) {
       return Status::Internal("boom");
     }
   };
-  JobConfig config = WordCountConfig(2, 2, false);
+  JobConfig config = WordCountConfig(2, 2);
   config.mapper_factory = [] { return std::make_unique<FailingMapper>(); };
   Engine engine(0);
   Dataset output;
@@ -200,7 +180,7 @@ TEST(EngineTest, ReduceErrorAbortsJob) {
       return Status::OutOfRange("bad reduce");
     }
   };
-  JobConfig config = WordCountConfig(2, 2, false);
+  JobConfig config = WordCountConfig(2, 2);
   config.reducer_factory = [] { return std::make_unique<FailingReducer>(); };
   Engine engine(0);
   Dataset output;
@@ -222,7 +202,7 @@ TEST(EngineTest, EmptyInputProducesEmptyOutput) {
   Dataset output = {{"junk", "junk"}};
   JobMetrics metrics;
   ASSERT_TRUE(
-      engine.Run(WordCountConfig(4, 4, false), {}, &output, &metrics).ok());
+      engine.Run(WordCountConfig(4, 4), {}, &output, &metrics).ok());
   EXPECT_TRUE(output.empty());
   EXPECT_EQ(metrics.map_input_records, 0u);
 }
@@ -233,7 +213,7 @@ TEST(EngineTest, MetricsAccounting) {
   JobMetrics metrics;
   Dataset input = WordsInput();
   ASSERT_TRUE(
-      engine.Run(WordCountConfig(2, 3, false), input, &output, &metrics).ok());
+      engine.Run(WordCountConfig(2, 3), input, &output, &metrics).ok());
   EXPECT_EQ(metrics.map_input_records, input.size());
   EXPECT_EQ(metrics.map_output_records, 11u);  // total words
   EXPECT_EQ(metrics.shuffle_records, metrics.map_output_records);
@@ -252,7 +232,7 @@ TEST(PartitionerTest, CustomPartitionerIsHonored) {
       return 0;
     }
   };
-  JobConfig config = WordCountConfig(2, 4, false);
+  JobConfig config = WordCountConfig(2, 4);
   config.partitioner = std::make_shared<ZeroPartitioner>();
   Engine engine(0);
   Dataset output;
@@ -329,10 +309,10 @@ TEST(PipelineTest, ChainsJobsAndRecordsHistory) {
   Pipeline pipeline(&engine, &dfs);
   dfs.Put("in", WordsInput());
   ASSERT_TRUE(
-      pipeline.RunJob(WordCountConfig(2, 2, false), "in", "counts").ok());
+      pipeline.RunJob(WordCountConfig(2, 2), "in", "counts").ok());
   // Second job over the first job's output (identity-ish re-reduce).
   ASSERT_TRUE(pipeline
-                  .RunJob(WordCountConfig(2, 2, false), "counts",
+                  .RunJob(WordCountConfig(2, 2), "counts",
                           "counts2")
                   .ok());
   EXPECT_EQ(pipeline.history().size(), 2u);
@@ -348,7 +328,7 @@ TEST(PipelineTest, MissingInputFails) {
   MiniDfs dfs;
   Pipeline pipeline(&engine, &dfs);
   EXPECT_EQ(
-      pipeline.RunJob(WordCountConfig(1, 1, false), "nope", "out").code(),
+      pipeline.RunJob(WordCountConfig(1, 1), "nope", "out").code(),
       StatusCode::kNotFound);
 }
 
@@ -444,7 +424,7 @@ TEST(EngineTest, ReduceTasksRecordMaxGroupBytes) {
   Dataset output;
   JobMetrics metrics;
   ASSERT_TRUE(engine
-                  .Run(WordCountConfig(1, 1, false), WordsInput(), &output,
+                  .Run(WordCountConfig(1, 1), WordsInput(), &output,
                        &metrics)
                   .ok());
   // Largest group is 'a' (5 records of key "a" + value varint(1)).
@@ -495,21 +475,6 @@ TEST(EngineTest, SetupErrorAborts) {
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(EngineTest, CombinerErrorAborts) {
-  class BadCombiner : public Reducer {
-   public:
-    Status Reduce(std::string_view, ValueList, Emitter*) override {
-      return Status::Internal("combiner boom");
-    }
-  };
-  JobConfig config = WordCountConfig(2, 2, false);
-  config.combiner_factory = [] { return std::make_unique<BadCombiner>(); };
-  Engine engine(0);
-  Dataset output;
-  JobMetrics metrics;
-  EXPECT_FALSE(engine.Run(config, WordsInput(), &output, &metrics).ok());
-}
-
 // ---- External shuffle (spill-to-disk) ---------------------------------
 
 // A few hundred lines of random words: enough shuffle volume that a tiny
@@ -543,7 +508,7 @@ void ExpectSameDataset(const Dataset& a, const Dataset& b) {
 
 TEST(EngineSpillTest, ForcedSpillIsByteIdenticalToInMemory) {
   const Dataset input = BigWordsInput(300, 91);
-  const JobConfig config = WordCountConfig(4, 3, /*combiner=*/false);
+  const JobConfig config = WordCountConfig(4, 3);
 
   Engine plain(0);
   Dataset want;
@@ -571,7 +536,7 @@ TEST(EngineSpillTest, ForcedSpillIsByteIdenticalToInMemory) {
 
 TEST(EngineSpillTest, ThreadedForcedSpillMatchesInline) {
   const Dataset input = BigWordsInput(300, 92);
-  const JobConfig config = WordCountConfig(6, 4, /*combiner=*/true);
+  const JobConfig config = WordCountConfig(6, 4);
 
   EngineOptions inline_opts;
   inline_opts.shuffle_memory_bytes = 256;
@@ -605,7 +570,7 @@ TEST(EngineSpillTest, NoSpillFilesSurviveCompletedOrFailedJobs) {
     Dataset output;
     JobMetrics metrics;
     ASSERT_TRUE(
-        engine.Run(WordCountConfig(3, 3, false), input, &output, &metrics)
+        engine.Run(WordCountConfig(3, 3), input, &output, &metrics)
             .ok());
     EXPECT_GT(metrics.spill_runs, 0u);
   }
@@ -618,7 +583,7 @@ TEST(EngineSpillTest, NoSpillFilesSurviveCompletedOrFailedJobs) {
       return Status::Internal("reduce boom");
     }
   };
-  JobConfig bad = WordCountConfig(3, 3, false);
+  JobConfig bad = WordCountConfig(3, 3);
   bad.reducer_factory = [] { return std::make_unique<FailingReducer>(); };
   {
     Engine engine(options);
@@ -665,7 +630,7 @@ TEST(EngineTest, SingleRecordInput) {
   Dataset output;
   JobMetrics metrics;
   ASSERT_TRUE(engine
-                  .Run(WordCountConfig(8, 8, true), {{"1", "solo"}}, &output,
+                  .Run(WordCountConfig(8, 8), {{"1", "solo"}}, &output,
                        &metrics)
                   .ok());
   ASSERT_EQ(output.size(), 1u);

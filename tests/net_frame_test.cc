@@ -326,7 +326,6 @@ TEST(TaskOutputWireTest, ReduceResultRoundTrips) {
   out.metrics.input_bytes = 4321;
   out.metrics.output_records = 50;
   out.metrics.max_group_bytes = 99;
-  out.combine_input_records = 17;
   out.side_state = std::string("side\0bytes", 10);
   std::string bytes;
   mr::EncodeTaskOutputWire(out, &bytes);
@@ -342,7 +341,6 @@ TEST(TaskOutputWireTest, ReduceResultRoundTrips) {
   EXPECT_EQ(read.metrics.input_records, 50u);
   EXPECT_EQ(read.metrics.input_bytes, 4321u);
   EXPECT_EQ(read.metrics.max_group_bytes, 99u);
-  EXPECT_EQ(read.combine_input_records, 17u);
   EXPECT_EQ(read.side_state, out.side_state);
 }
 

@@ -7,12 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "check/invariants.h"
 #include "core/fsjoin.h"
+#include "core/jobs.h"
+#include "exec/backend.h"
 #include "mr/metrics.h"
+#include "test_util.h"
 
 namespace fsjoin::testing {
 
@@ -72,6 +77,51 @@ inline void ExpectTransport(const mr::JobMetrics& job,
   for (size_t t = 0; t < job.reduce_tasks.size(); ++t) {
     EXPECT_EQ(job.reduce_tasks[t].transport, want)
         << job.job_name << " reduce " << t;
+  }
+}
+
+/// Corpora at the ordering job's edges: no records, only empty records,
+/// a one-token vocabulary, a vocabulary of exactly one block and of one
+/// token past it, and random corpora spanning several blocks.
+inline std::vector<Corpus> OrderingCorpora() {
+  std::vector<Corpus> corpora;
+  corpora.push_back(CorpusFromTokenSets({}));
+  corpora.push_back(CorpusFromTokenSets({{}, {}, {}}));
+  corpora.push_back(CorpusFromTokenSets({{0}, {}, {0}, {0}}));
+  for (uint32_t vocab : {kOrderingBlockWidth, kOrderingBlockWidth + 1}) {
+    std::vector<std::vector<uint32_t>> sets;
+    std::vector<uint32_t> all(vocab);
+    std::iota(all.begin(), all.end(), 0u);
+    sets.push_back(std::move(all));
+    // Skewed repeats, including the last token of the vocabulary.
+    for (uint32_t r = 1; r <= 24; ++r) {
+      sets.push_back({(r * 37) % (vocab - 1), vocab - 1});
+    }
+    corpora.push_back(CorpusFromTokenSets(sets));
+  }
+  corpora.push_back(RandomCorpus(120, 9000, 0.9, 30.0, 3));
+  corpora.push_back(RandomCorpus(50, 40, 1.1, 6.0, 4));
+  return corpora;
+}
+
+/// Runs the ordering plan over every OrderingCorpora() corpus on one
+/// backend built from `exec`, and checks each ordering against
+/// GlobalOrder::FromCorpus byte for byte (EncodeRanksTo).
+inline void ExpectOrderingMatchesFromCorpus(const exec::ExecConfig& exec) {
+  std::unique_ptr<exec::ExecutionBackend> backend = exec::MakeBackend(exec);
+  const std::vector<Corpus> corpora = OrderingCorpora();
+  for (size_t c = 0; c < corpora.size(); ++c) {
+    const Corpus& corpus = corpora[c];
+    Result<GlobalOrder> got =
+        RunOrderingPlan(backend.get(), "ordering", MakeCorpusDataset(corpus),
+                        corpus.dictionary.size());
+    ASSERT_TRUE(got.ok()) << "corpus " << c << ": "
+                          << got.status().ToString();
+    std::string got_bytes, want_bytes;
+    got->EncodeRanksTo(&got_bytes);
+    GlobalOrder::FromCorpus(corpus).EncodeRanksTo(&want_bytes);
+    EXPECT_EQ(got_bytes, want_bytes) << "corpus " << c;
+    EXPECT_EQ(got->NumTokens(), corpus.dictionary.size()) << "corpus " << c;
   }
 }
 

@@ -10,13 +10,16 @@
 // driver script can restart workers between runs without pid bookkeeping.
 
 #include <cstdio>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "core/jobs.h"
 #include "net/worker.h"
 #include "util/endpoint.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -39,7 +42,14 @@ int main(int argc, char** argv) {
     if (std::strcmp(arg, "--listen") == 0 && i + 1 < argc) {
       options.listen = argv[++i];
     } else if (std::strcmp(arg, "--timeout-ms") == 0 && i + 1 < argc) {
-      options.timeout_ms = std::atoi(argv[++i]);
+      uint64_t ms = 0;
+      if (!fsjoin::ParseUnsigned(argv[++i], std::numeric_limits<int>::max(),
+                                 &ms)) {
+        std::fprintf(stderr, "--timeout-ms needs milliseconds, got %s\n",
+                     argv[i]);
+        return Usage(argv[0]);
+      }
+      options.timeout_ms = static_cast<int>(ms);
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       Usage(argv[0]);
       return 0;
