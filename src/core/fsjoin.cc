@@ -197,6 +197,8 @@ Result<FsJoinOutput> FsJoin::Run(const Corpus& corpus) const {
   filtering_hints.side = filtering_cfg.side;
   filtering_hints.task_factory = filtering_cfg.task_factory;
   filtering_hints.task_payload = std::move(filtering_cfg.task_payload);
+  filtering_hints.reduce_task_payload =
+      std::move(filtering_cfg.reduce_task_payload);
   exec::StageHints verification_hints;
   verification_hints.side = verification_cfg.side;
   verification_hints.task_factory = verification_cfg.task_factory;

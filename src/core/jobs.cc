@@ -735,9 +735,8 @@ Status DecodeVerificationFields(std::string_view payload,
           return factories;
         });
 
-}  // namespace
-
-std::string EncodeFilteringPayload(const FilteringContext& context) {
+std::string EncodeFilteringFields(const FilteringContext& context,
+                                  bool with_ranks) {
   const FsJoinConfig& cfg = context.config;
   std::string out;
   PutVarint32(&out, kFilteringPayloadVersion);
@@ -779,7 +778,9 @@ std::string EncodeFilteringPayload(const FilteringContext& context) {
       &out, std::string_view(
                 reinterpret_cast<const char*>(context.split_fragment.data()),
                 context.split_fragment.size()));
-  if (context.order != nullptr) {
+  if (!with_ranks) {
+    PutLengthPrefixed(&out, "");
+  } else if (context.order != nullptr) {
     std::string ranks;
     context.order->EncodeRanksTo(&ranks);
     PutLengthPrefixed(&out, ranks);
@@ -787,6 +788,16 @@ std::string EncodeFilteringPayload(const FilteringContext& context) {
     PutLengthPrefixed(&out, context.order_ranks);
   }
   return out;
+}
+
+}  // namespace
+
+std::string EncodeFilteringPayload(const FilteringContext& context) {
+  return EncodeFilteringFields(context, /*with_ranks=*/true);
+}
+
+std::string EncodeFilteringReducePayload(const FilteringContext& context) {
+  return EncodeFilteringFields(context, /*with_ranks=*/false);
 }
 
 Result<std::shared_ptr<FilteringContext>> DecodeFilteringPayload(
@@ -927,6 +938,7 @@ mr::JobConfig MakeFilteringJobConfig(
   config.side = FilteringSideChannel(context);
   config.task_factory = "core.filtering";
   config.task_payload = EncodeFilteringPayload(*context);
+  config.reduce_task_payload = EncodeFilteringReducePayload(*context);
   return config;
 }
 

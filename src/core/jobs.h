@@ -129,8 +129,10 @@ struct FilteringContext {
 
 /// Filtering job. Its tasks can also run in another process: the config
 /// names the registered "core.filtering" task factory and carries
-/// EncodeFilteringPayload(*context), encoded once here. In-process runners
-/// ignore the payload and read the context directly.
+/// EncodeFilteringPayload(*context) for map tasks and
+/// EncodeFilteringReducePayload(*context) for reduce tasks, each encoded
+/// once here. In-process runners ignore the payloads and read the context
+/// directly.
 mr::JobConfig MakeFilteringJobConfig(
     const std::shared_ptr<FilteringContext>& context);
 
@@ -142,6 +144,12 @@ mr::JobConfig MakeFilteringJobConfig(
 /// pivots, the horizontal length pivots, split_fragment and the ordering's
 /// ranks. Layout in DESIGN.md §5h.
 std::string EncodeFilteringPayload(const FilteringContext& context);
+
+/// The reduce tasks' payload: EncodeFilteringPayload with the ranks field
+/// left empty. Reducers and the partitioner never read the ordering, and
+/// on email it is 257 KB of a payload that is otherwise a few hundred
+/// bytes; a mapper built from these bytes fails its Setup.
+std::string EncodeFilteringReducePayload(const FilteringContext& context);
 
 /// Rebuilds a filtering context (zeroed counters, no morsel pool, ordering
 /// still encoded in order_ranks) from EncodeFilteringPayload bytes.

@@ -252,6 +252,7 @@ Result<mr::Dataset> MapReduceBackend::Execute(const Plan& plan,
         job.side = stage.side;
         job.task_factory = stage.task_factory;
         job.task_payload = stage.task_payload;
+        job.reduce_task_payload = stage.reduce_task_payload;
         pending.clear();
         std::string out = new_name(stage.name);
         st = pipeline_.RunJob(job, current, out);

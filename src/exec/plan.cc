@@ -24,6 +24,7 @@ Plan& Plan::GroupByKey(std::string stage_name, mr::ReducerFactory factory,
   stage.side = std::move(hints.side);
   stage.task_factory = std::move(hints.task_factory);
   stage.task_payload = std::move(hints.task_payload);
+  stage.reduce_task_payload = std::move(hints.reduce_task_payload);
   stages_.push_back(std::move(stage));
   return *this;
 }

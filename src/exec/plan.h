@@ -2,6 +2,7 @@
 #define FSJOIN_EXEC_PLAN_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,7 @@ struct Stage {
   mr::TaskSideChannel side;
   std::string task_factory;
   std::string task_payload;
+  std::optional<std::string> reduce_task_payload;
 };
 
 /// Optional per-wide-stage execution metadata passed to Plan::GroupByKey.
@@ -50,6 +52,8 @@ struct StageHints {
   mr::TaskSideChannel side;
   std::string task_factory;
   std::string task_payload;
+  /// Reduce tasks' factory bytes when smaller (mr::JobConfig).
+  std::optional<std::string> reduce_task_payload;
 };
 
 /// A logical description of one multi-stage computation: a chain of named

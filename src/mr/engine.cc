@@ -170,10 +170,15 @@ Status Engine::Run(const JobConfig& config, const Dataset& input,
   // as a --worker-task process that shares nothing with this one.
   const bool exec_capable = isolated && !config.task_factory.empty() &&
                             HasTaskFactory(config.task_factory);
-  // One copy of the payload for the whole job, shared by every task spec.
+  // One copy of each payload for the whole job, shared by every task spec
+  // of its kind.
   const std::shared_ptr<const std::string> payload =
       exec_capable ? std::make_shared<const std::string>(config.task_payload)
                    : nullptr;
+  const std::shared_ptr<const std::string> reduce_payload =
+      exec_capable && config.reduce_task_payload.has_value()
+          ? std::make_shared<const std::string>(*config.reduce_task_payload)
+          : payload;
   // Distributed runners stream the shuffle worker-to-worker instead of
   // moving arenas through this process: map tasks retain their sorted
   // partitions on the executing worker, reduce tasks pull them directly
@@ -319,7 +324,7 @@ Status Engine::Run(const JobConfig& config, const Dataset& input,
     for (uint32_t r = 0; r < num_reds; ++r) {
       TaskSpec& spec = red_specs[r];
       spec.factory = config.task_factory;
-      spec.payload = payload;
+      spec.payload = reduce_payload;
       spec.shuffle_sources.reserve(num_maps);
       for (uint32_t m = 0; m < num_maps; ++m) {
         spec.shuffle_sources.push_back(ShuffleSource{config.name, m, ""});
@@ -352,7 +357,7 @@ Status Engine::Run(const JobConfig& config, const Dataset& input,
       }
       if (exec_capable) {
         spec.factory = config.task_factory;
-        spec.payload = payload;
+        spec.payload = reduce_payload;
       }
     });
     for (const Status& st : write_status) FSJOIN_RETURN_NOT_OK(st);
@@ -396,6 +401,7 @@ Status Engine::Run(const JobConfig& config, const Dataset& input,
     jm.reduce_wall_micros += tm.wall_micros;
     jm.spilled_bytes += tm.spilled_bytes;
     jm.spill_runs += tm.spill_runs;
+    jm.shuffle_connects += tm.shuffle_connects;
     jm.reduce_tasks.push_back(tm);
     return Status::OK();
   };

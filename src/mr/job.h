@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -133,6 +134,10 @@ struct JobConfig {
   std::string task_factory;
   /// Opaque parameter bytes for the task factory.
   std::string task_payload;
+  /// The factory bytes of reduce tasks, when they need less than the map
+  /// tasks do (the filtering reducers never read the ordering, which makes
+  /// up almost all of that job's payload); unset = task_payload.
+  std::optional<std::string> reduce_task_payload;
 };
 
 }  // namespace fsjoin::mr

@@ -36,9 +36,14 @@ std::string JobMetrics::Summary() const {
                   WithThousandsSep(map_input_records).c_str(),
                   WithThousandsSep(map_output_records).c_str(),
                   HumanBytes(map_output_bytes).c_str(), DuplicationFactor());
-  os << StrFormat("  shuffle: %s records, %s, reduce skew=%.2f\n",
+  os << StrFormat("  shuffle: %s records, %s, reduce skew=%.2f",
                   WithThousandsSep(shuffle_records).c_str(),
                   HumanBytes(shuffle_bytes).c_str(), ReduceSkew());
+  if (shuffle_connects > 0) {
+    os << StrFormat(", %s fetch connects",
+                    WithThousandsSep(shuffle_connects).c_str());
+  }
+  os << "\n";
   if (spill_runs > 0) {
     os << StrFormat("  spill:   %s in %u runs\n",
                     HumanBytes(spilled_bytes).c_str(), spill_runs);
@@ -67,6 +72,7 @@ JobMetrics CombineJobMetrics(const std::vector<JobMetrics>& jobs,
     out.shuffle_bytes += j.shuffle_bytes;
     out.spilled_bytes += j.spilled_bytes;
     out.spill_runs += j.spill_runs;
+    out.shuffle_connects += j.shuffle_connects;
     out.reduce_output_records += j.reduce_output_records;
     out.reduce_output_bytes += j.reduce_output_bytes;
     out.map_tasks.insert(out.map_tasks.end(), j.map_tasks.begin(),

@@ -32,6 +32,10 @@ struct TaskMetrics {
   /// max_group_bytes heuristic when present.
   uint64_t spilled_bytes = 0;
   uint32_t spill_runs = 0;
+  /// Reduce tasks over the network shuffle only: connections this task
+  /// dialed to fetch its input. Fetch connections are pooled per worker,
+  /// so this is 0 once the worker holds one to every shuffle server.
+  uint32_t shuffle_connects = 0;
   /// Execution attempts of this logical task (1 = ran clean; > 1 means the
   /// scheduler re-executed failed attempts). The counters above describe
   /// the final, successful attempt only — the scheduler merges metrics
@@ -67,6 +71,9 @@ struct JobMetrics {
   /// number of run files written.
   uint64_t spilled_bytes = 0;
   uint32_t spill_runs = 0;
+  /// Network shuffle only: connections the reduce tasks dialed to fetch
+  /// their input (sum over reduce tasks, final attempts).
+  uint64_t shuffle_connects = 0;
 
   uint64_t reduce_output_records = 0;
   uint64_t reduce_output_bytes = 0;

@@ -69,6 +69,7 @@ void EncodeMetrics(const TaskMetrics& tm, std::string* dst) {
   PutVarint64(dst, tm.max_group_bytes);
   PutVarint64(dst, tm.spilled_bytes);
   PutVarint32(dst, tm.spill_runs);
+  PutVarint32(dst, tm.shuffle_connects);
 }
 
 Status DecodeMetrics(Decoder* dec, TaskMetrics* tm) {
@@ -82,6 +83,7 @@ Status DecodeMetrics(Decoder* dec, TaskMetrics* tm) {
   FSJOIN_RETURN_NOT_OK(dec->GetVarint64(&tm->max_group_bytes));
   FSJOIN_RETURN_NOT_OK(dec->GetVarint64(&tm->spilled_bytes));
   FSJOIN_RETURN_NOT_OK(dec->GetVarint32(&tm->spill_runs));
+  FSJOIN_RETURN_NOT_OK(dec->GetVarint32(&tm->shuffle_connects));
   return Status::OK();
 }
 

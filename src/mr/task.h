@@ -68,10 +68,11 @@ struct TaskSpec {
   /// in-process or in a forked child, but not via binary re-exec).
   std::string factory;
   /// Opaque parameter bytes handed to the factory on the worker side
-  /// (null = empty). Shared, not copied: every task of a stage carries the
-  /// same payload — the filtering job's holds the whole token ordering —
-  /// so the per-task specs and the copies runners keep must not multiply
-  /// it.
+  /// (null = empty). Shared, not copied: every map task of a stage carries
+  /// the same payload — the filtering job's holds the whole token ordering
+  /// — so the per-task specs and the copies runners keep must not multiply
+  /// it. Reduce tasks share the job's reduce payload, which leaves out
+  /// what reducers never read (JobConfig::reduce_task_payload).
   std::shared_ptr<const std::string> payload;
   /// Zero-based attempt number, assigned by the scheduler.
   uint32_t attempt = 0;

@@ -326,6 +326,7 @@ TEST(TaskOutputWireTest, ReduceResultRoundTrips) {
   out.metrics.input_bytes = 4321;
   out.metrics.output_records = 50;
   out.metrics.max_group_bytes = 99;
+  out.metrics.shuffle_connects = 3;
   out.side_state = std::string("side\0bytes", 10);
   std::string bytes;
   mr::EncodeTaskOutputWire(out, &bytes);
@@ -341,6 +342,7 @@ TEST(TaskOutputWireTest, ReduceResultRoundTrips) {
   EXPECT_EQ(read.metrics.input_records, 50u);
   EXPECT_EQ(read.metrics.input_bytes, 4321u);
   EXPECT_EQ(read.metrics.max_group_bytes, 99u);
+  EXPECT_EQ(read.metrics.shuffle_connects, 3u);
   EXPECT_EQ(read.side_state, out.side_state);
 }
 
